@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import detect_flat_bottom, detect_monotone
+from .classify import Recognizer
 from .core import (
     CountingObjective,
     FunctionClass,
@@ -89,7 +89,7 @@ def parabola_vertex(t: BracketTriple) -> float:
 
 
 def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
-    """Search the whole transcript for a bracketing triple.
+    """Search the run's points (one per abscissa) for a bracketing triple.
 
     The candidate middle is the best point seen so far (earliest on ties);
     the flanks are the nearest strictly-greater points on each side, which
@@ -139,8 +139,8 @@ def minimize_ratio_a(
         bracket_log.append((a, b))
 
     # --- Phase 1: bisection-mode bootstrap with recognizers -------------
+    recognizer = Recognizer(obj, interval, tol)
     m = obj.evaluate(0.5 * (a + b))
-    mnt_done = False
     triple: BracketTriple | None = None
     while triple is None:
         if stop_test(a, b, m.x, tol) or max(m.x - a, b - m.x) <= e0(tol, m.x):
@@ -158,31 +158,10 @@ def minimize_ratio_a(
         else:
             px = 0.5 * a + 0.5 * m.x
         p = obj.evaluate(px)
-
-        run = obj.transcript[start:]
-        flat = detect_flat_bottom(run)
-        if flat is not None:
-            return MinimizeOutcome(
-                flat.x, flat.y, obj.count - start,
-                FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-            )
-        if not mnt_done and len(run) >= 4:
-            mnt_done = True
-            if obj.count - start + 2 <= tol.max_evaluations:
-                verdict = detect_monotone(run, interval, obj, tol)
-                if verdict is not None:
-                    return MinimizeOutcome(
-                        verdict.minimizer.x, verdict.minimizer.y,
-                        obj.count - start, verdict.direction,
-                        SolveStatus.CONVERGED,
-                    )
-                flat = detect_flat_bottom(obj.transcript[start:])
-                if flat is not None:
-                    return MinimizeOutcome(
-                        flat.x, flat.y, obj.count - start,
-                        FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-                    )
-        triple = _scan_for_triple(obj.transcript[start:])
+        recognized = recognizer.observe()
+        if recognized is not None:
+            return recognized
+        triple = _scan_for_triple(recognizer.distinct)
         if triple is not None:
             break
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classify import detect_monotone, separated_count
+from .classify import Recognizer
 from .core import (
     CountingObjective,
     FunctionClass,
@@ -183,13 +183,15 @@ def brent_m_minimize(
     """Brent minimization with ratio-section fallbacks and recognizers.
 
     Identical to :func:`brent_minimize` except that (i) the fallback step
-    is ``d = c*e`` (default ``c = 0.2``), (ii) the flat-bottom recognizer
-    runs after every evaluation, and (iii) the monotone recognizer runs
-    once when the transcript reaches four distinct abscissas.  Pass
+    is ``d = c*e`` (default ``c = 0.2``), (ii) a
+    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
+    bottom after every evaluation, and (iii) runs the monotone recognizer
+    once when the run first holds four distinct abscissas.  Pass
     ``use_recognizers=False`` to strip (ii) and (iii).
 
-    The flat-bottom rule here counts only abscissas more than ``2*e0``
-    apart (:func:`~ratiosect.classify.separated_count`): this loop's
+    The recognizer runs in its ``spaced`` flavour: the flat-bottom rule
+    counts only abscissas more than ``2*e0`` apart
+    (:func:`~ratiosect.classify.separated_count`), because this loop's
     ``tol1`` steps put probes ``e0`` apart, and near a very flat bottom
     three of them can share the ordinate of one wall step.
     """
@@ -199,56 +201,7 @@ def brent_m_minimize(
     start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
-    mnt_done = not use_recognizers
-    # Incremental recognizer state: the next transcript index to feed, the
-    # run's points with duplicate abscissas dropped, and those points
-    # grouped by ordinate.
-    fed = start
-    distinct: list[Point2] = []
-    abscissas: set[float] = set()
-    levels: dict[float, list[Point2]] = {}
-
-    def plateau() -> MinimizeOutcome | None:
-        # Feed the new points to the flat-bottom rule; only the level a new
-        # point joins can newly qualify.
-        nonlocal fed
-        for point in obj.transcript[fed:]:
-            fed += 1
-            if point.x in abscissas:
-                continue
-            abscissas.add(point.x)
-            distinct.append(point)
-            level = levels.setdefault(point.y, [])
-            level.append(point)
-            if len(level) >= 3 and separated_count([q.x for q in level], tol) >= 3:
-                return MinimizeOutcome(
-                    level[0].x, level[0].y, obj.count - start,
-                    FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-                )
-        return None
-
-    def recognize() -> MinimizeOutcome | None:
-        nonlocal mnt_done
-        if not use_recognizers:
-            return None
-        flat = plateau()
-        if flat is not None:
-            return flat
-        if not mnt_done and len(distinct) >= 4:
-            mnt_done = True
-            if obj.count - start + 2 <= tol.max_evaluations:
-                verdict = detect_monotone(distinct, interval, obj, tol)
-                if verdict is not None:
-                    return MinimizeOutcome(
-                        verdict.minimizer.x, verdict.minimizer.y,
-                        obj.count - start, verdict.direction,
-                        SolveStatus.CONVERGED,
-                    )
-                # The endpoint probes may themselves have completed a
-                # plateau triple.
-                return plateau()
-        return None
-
+    recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
     px = obj.evaluate(a + GOLDEN_STEP * (b - a))
     x, fx = px.x, px.y
     w, fw = x, fx
@@ -257,8 +210,7 @@ def brent_m_minimize(
     e = 0.0
     status = SolveStatus.CONVERGED
 
-    early = recognize()
-    if early is not None:
+    if recognizer is not None and (early := recognizer.observe()) is not None:
         return early
 
     while True:
@@ -299,9 +251,7 @@ def brent_m_minimize(
             u = x + (tol1 if d > 0.0 else -tol1)
         pu = obj.evaluate(u)
         fu = pu.y
-
-        early = recognize()
-        if early is not None:
+        if recognizer is not None and (early := recognizer.observe()) is not None:
             return early
 
         if fu <= fx:

@@ -3,25 +3,37 @@
 Segment-elimination solvers spend dozens of evaluations on targets that
 could be dispatched almost immediately: a monotone function's minimum sits
 at an interval endpoint, and a plateau at the bottom of a unimodal function
-stalls ordinate comparisons entirely.  The two recognizers here settle both
-cases cheaply and are shared by the ratio-section solvers and the
-modernized Brent variant:
+stalls ordinate comparisons entirely.  The recognizers here settle both
+cases cheaply:
 
 * :func:`detect_monotone` — given four or more evaluated points whose
-  sorted ordinates look monotone, confirms the hypothesis with at most two
-  extra endpoint evaluations and returns the exact endpoint minimizer.
+  sorted ordinates look monotone, confirms the hypothesis with two extra
+  endpoint evaluations and returns the exact endpoint minimizer.
 * :func:`detect_flat_bottom` — purely combinatorial (zero evaluations):
-  fires as soon as the transcript holds three points with pairwise
-  distinct abscissas and identical ordinates.
+  fires when a list of points holds three with pairwise distinct
+  abscissas and identical ordinates.  It rescans the whole list, and is
+  kept as the reference the incremental recognizer is tested against.
 * :func:`separated_count` — the stricter spacing the modernized Brent
   variant asks of such a triple: abscissas more than ``2*e0`` apart.
+* :class:`Recognizer` — both rules, fed incrementally from one solver
+  run's transcript at O(1) amortized cost per evaluation.  The passive and
+  active ratio solvers and the modernized Brent variant all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CountingObjective, FunctionClass, Interval, Point2, Tolerance, e0
+from .core import (
+    CountingObjective,
+    FunctionClass,
+    Interval,
+    MinimizeOutcome,
+    Point2,
+    SolveStatus,
+    Tolerance,
+    e0,
+)
 
 
 @dataclass(frozen=True)
@@ -30,14 +42,12 @@ class MonotoneVerdict:
 
     ``direction`` is either ``MONOTONE_INCREASING`` or
     ``MONOTONE_DECREASING``; ``minimizer`` is the evaluated interval
-    endpoint (left for increasing, right for decreasing);
-    ``extra_evaluations`` is the number of confirmation probes spent (2 on
-    every confirmed verdict).
+    endpoint (left for increasing, right for decreasing).  A confirmed
+    verdict always costs two evaluations.
     """
 
     direction: FunctionClass
     minimizer: Point2
-    extra_evaluations: int
 
     def __post_init__(self) -> None:
         if self.direction not in (
@@ -58,7 +68,7 @@ def detect_monotone(
     ``w`` must hold at least four points with pairwise-distinct abscissas,
     all inside ``interval``.  A copy is sorted by abscissa; if the ordinate
     sequence is not non-strictly monotone the hypothesis is rejected for
-    free.  Otherwise two confirmation probes are spent: ``u`` at the
+    free.  Otherwise up to two confirmation probes are spent: ``u`` at the
     endpoint where the minimum would sit, and ``v`` one tolerance step
     ``e0`` inside from that endpoint.  The hypothesis survives iff
     ``u.y <= min(sorted ordinates)`` and ``u.y <= v.y`` (non-strict, so
@@ -101,7 +111,7 @@ def detect_monotone(
     v = obj.evaluate(inner)
     if not u.y <= v.y:
         return None
-    return MonotoneVerdict(direction=direction, minimizer=u, extra_evaluations=2)
+    return MonotoneVerdict(direction=direction, minimizer=u)
 
 
 def detect_flat_bottom(w: list[Point2]) -> Point2 | None:
@@ -139,3 +149,85 @@ def separated_count(xs: list[float], tol: Tolerance) -> int:
             count += 1
             last = x
     return count
+
+
+class Recognizer:
+    """Flat-bottom and monotone recognition over one solver run, fed
+    incrementally from the run's transcript.
+
+    Create it before the run's first evaluation and call :meth:`observe`
+    after each probe (or pair of probes).  It reads only the points added
+    since its last call and drops a point whose abscissa the run already
+    holds; the points kept, in evaluation order, are :attr:`distinct`.
+    Each ordinate maps to its level: the rank in :attr:`distinct` of the
+    level's first point, and the level's abscissas.  Only a level that a
+    new point joins can newly qualify as a plateau, so the plain rule
+    costs O(1) per evaluation.
+
+    A level qualifies with three abscissas.  With ``spaced=True`` (the
+    modernized Brent flavour) they must also lie pairwise more than
+    ``2*e0`` apart (:func:`separated_count`), and the first new point to
+    complete a level decides.  Otherwise the answer is what
+    :func:`detect_flat_bottom` gives on the run: when one batch completes
+    several levels, the level whose first point is earliest wins.  Either
+    way the outcome's minimizer is that level's first point.
+
+    The monotone check runs once, when the run first holds four distinct
+    abscissas and the budget leaves room for its two probes; those probes
+    are fed to the flat-bottom rule as well.
+    """
+
+    def __init__(self, obj: CountingObjective, interval: Interval,
+                 tol: Tolerance, *, spaced: bool = False) -> None:
+        self.obj = obj
+        self.interval = interval
+        self.tol = tol
+        self.spaced = spaced
+        self.start = self.fed = obj.count
+        self.distinct: list[Point2] = []
+        self.abscissas: set[float] = set()
+        self.levels: dict[float, tuple[int, list[float]]] = {}
+        self.monotone_done = False
+
+    def observe(self) -> MinimizeOutcome | None:
+        """Feed the new transcript points; the run's outcome if a
+        recognizer fired, else ``None``."""
+        outcome = self._plateau()
+        if outcome is None and not self.monotone_done and len(self.distinct) >= 4:
+            self.monotone_done = True
+            if self.obj.count - self.start + 2 <= self.tol.max_evaluations:
+                verdict = detect_monotone(self.distinct, self.interval, self.obj, self.tol)
+                if verdict is not None:
+                    return self._outcome(verdict.minimizer, verdict.direction)
+                outcome = self._plateau()
+        return outcome
+
+    def _plateau(self) -> MinimizeOutcome | None:
+        transcript = self.obj.transcript
+        new = transcript[self.fed:]
+        self.fed = len(transcript)
+        found: int | None = None
+        for point in new:
+            if point.x in self.abscissas:
+                continue
+            self.abscissas.add(point.x)
+            self.distinct.append(point)
+            level = self.levels.get(point.y)
+            if level is None:
+                self.levels[point.y] = (len(self.distinct) - 1, [point.x])
+                continue
+            rank, xs = level
+            xs.append(point.x)
+            if len(xs) < 3 or (self.spaced and separated_count(xs, self.tol) < 3):
+                continue
+            if found is None or rank < found:
+                found = rank
+            if self.spaced:
+                break
+        if found is None:
+            return None
+        return self._outcome(self.distinct[found], FunctionClass.FLAT_BOTTOM)
+
+    def _outcome(self, p: Point2, cls: FunctionClass) -> MinimizeOutcome:
+        return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
+                               SolveStatus.CONVERGED)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classify import detect_flat_bottom, detect_monotone
+from .classify import Recognizer
 from .core import (
     CountingObjective,
     FunctionClass,
@@ -193,9 +193,10 @@ def minimize_ratio_p(
     iteration, including the first.  A probe no higher than ``m`` becomes
     the incumbent, so a tie cuts away only the shorter side; on a
     staircase wall, keeping ``m`` would cut away a ``(1-c)`` share of the
-    longer side, which may hold the bottom.  After every evaluation the
-    transcript is checked for a flat bottom; when it reaches four points
-    the monotone recognizer runs once.  With ``c = 0.5`` the probe is
+    longer side, which may hold the bottom.  After every evaluation a
+    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
+    bottom; when the run first holds four distinct abscissas it runs the
+    monotone recognizer once.  With ``c = 0.5`` the probe is
     always the midpoint of the longer segment and the behavior mirrors
     bisection.
     """
@@ -203,9 +204,9 @@ def minimize_ratio_p(
     start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
+    recognizer = Recognizer(obj, interval, tol)
     m = obj.evaluate(0.5 * (a + b))
     status = SolveStatus.CONVERGED
-    mnt_done = False
     while True:
         # Either the shared stop test or "the longer side has shrunk to
         # tolerance" ends the refinement.
@@ -219,32 +220,9 @@ def minimize_ratio_p(
         else:
             px = cfg.c * a + (1.0 - cfg.c) * m.x
         p = obj.evaluate(px)
-
-        run = obj.transcript[start:]
-        flat = detect_flat_bottom(run)
-        if flat is not None:
-            return MinimizeOutcome(
-                flat.x, flat.y, obj.count - start,
-                FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-            )
-        if not mnt_done and len(run) >= 4:
-            mnt_done = True
-            if obj.count - start + 2 <= tol.max_evaluations:
-                verdict = detect_monotone(run, interval, obj, tol)
-                if verdict is not None:
-                    return MinimizeOutcome(
-                        verdict.minimizer.x, verdict.minimizer.y,
-                        obj.count - start, verdict.direction,
-                        SolveStatus.CONVERGED,
-                    )
-                # The endpoint probes may themselves have completed a
-                # plateau triple.
-                flat = detect_flat_bottom(obj.transcript[start:])
-                if flat is not None:
-                    return MinimizeOutcome(
-                        flat.x, flat.y, obj.count - start,
-                        FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-                    )
+        recognized = recognizer.observe()
+        if recognized is not None:
+            return recognized
 
         if p.y <= m.y:
             # p replaces m; the old incumbent bounds the side away from p.

@@ -269,6 +269,20 @@ def test_sweep_c_validates_range():
         sweep_ratio_c([12], 0.0, 0.5)
 
 
+def test_sweep_c_counts_regression():
+    # Frozen sweep: all 80 (c, mean count) samples over ids 7-20, compared
+    # bit for bit (scripts/freeze_sweep_counts.py writes the file).
+    with open(DATA_DIR / "sweep_c_counts.csv", newline="") as fh:
+        frozen = [(float(row["c"]), float(row["mean_evaluations"]))
+                  for row in csv.DictReader(fh)]
+    samples, _ = sweep_ratio_c(range(7, 21))
+    assert len(frozen) == 80
+    assert sum(mean * 14 for _, mean in frozen) == pytest.approx(28174)
+    assert [(c.hex(), mean.hex()) for c, mean in samples] == [
+        (c.hex(), mean.hex()) for c, mean in frozen
+    ]
+
+
 def test_sweep_j_rows():
     rows = sweep_ratio_a_exponent([12], -4, -2)
     assert [j for j, _, _ in rows] == [-4, -3, -2]

@@ -1,10 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiosect.classify import detect_flat_bottom, detect_monotone, separated_count
+from ratiosect.classify import (
+    Recognizer,
+    detect_flat_bottom,
+    detect_monotone,
+    separated_count,
+)
 from ratiosect.core import (
     CountingObjective,
     FunctionClass,
@@ -89,6 +94,105 @@ def test_separated_count_merges_abscissas_within_two_e0():
     assert separated_count([], TOL) == 0
 
 
+# ---------------------------------------------------------------- recognizer
+
+# A budget of one evaluation leaves no room for the two monotone probes, so
+# these tests see the flat-bottom rule alone.  floor=0.3 makes 2*e0 a bit
+# over 0.6: abscissas 0.5 apart merge under the spaced rule, 1.0 apart not.
+FLAT_ONLY = Tolerance(epsilon=1e-9, floor=0.3, max_evaluations=1)
+
+
+def drop_repeated_abscissas(w):
+    seen = set()
+    out = []
+    for p in w:
+        if p.x not in seen:
+            seen.add(p.x)
+            out.append(p)
+    return out
+
+
+def spaced_reference(w, tol):
+    """The modernized Brent rule, fed one point at a time: the first point
+    that gives its level three abscissas more than 2*e0 apart decides."""
+    levels = {}
+    for p in drop_repeated_abscissas(w):
+        level = levels.setdefault(p.y, [])
+        level.append(p)
+        if len(level) >= 3 and separated_count([q.x for q in level], tol) >= 3:
+            return level[0]
+    return None
+
+
+def feed(recognizer, obj, batch):
+    obj.transcript.extend(batch)
+    out = recognizer.observe()
+    return None if out is None else Point2(out.x_min, out.f_min)
+
+
+batched_runs = st.lists(
+    st.lists(
+        st.builds(Point2,
+                  st.sampled_from([0.5 * k for k in range(12)]),
+                  st.sampled_from([1.0, 2.0])),
+        min_size=1, max_size=2,
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=400)
+@given(batched_runs)
+def test_recognizer_matches_full_scan(batches):
+    obj = CountingObjective(lambda x: 0.0)
+    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY)
+    for batch in batches:
+        hit = feed(recognizer, obj, batch)
+        assert hit == detect_flat_bottom(drop_repeated_abscissas(obj.transcript))
+        if hit is not None:
+            break
+
+
+@settings(max_examples=400)
+@given(batched_runs)
+def test_spaced_recognizer_matches_brent_m_rule(batches):
+    obj = CountingObjective(lambda x: 0.0)
+    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
+    for batch in batches:
+        hit = feed(recognizer, obj, batch)
+        assert hit == spaced_reference(obj.transcript, FLAT_ONLY)
+        if hit is not None:
+            break
+
+
+def test_recognizer_batch_completing_two_levels():
+    # The second batch completes level 1.0 (first point at rank 1) and
+    # then level 2.0 (first point at rank 0).
+    first = pts((0.0, 2.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0))
+    batch = pts((4.0, 1.0), (5.0, 2.0))
+    for spaced, want in ((False, Point2(0.0, 2.0)), (True, Point2(1.0, 1.0))):
+        obj = CountingObjective(lambda x: 0.0)
+        recognizer = Recognizer(obj, Interval(0.0, 5.0), FLAT_ONLY, spaced=spaced)
+        assert feed(recognizer, obj, first) is None
+        assert feed(recognizer, obj, batch) == want
+
+
+def test_recognizer_runs_monotone_check_on_four_distinct_abscissas():
+    f = lambda x: x
+    obj = CountingObjective(f)
+    recognizer = Recognizer(obj, Interval(0.0, 10.0), TOL)
+    # A repeated abscissa neither counts toward the four nor reaches
+    # detect_monotone, which would reject it.
+    assert feed(recognizer, obj, sample(f, [5.0, 7.5, 7.5, 6.0])) is None
+    assert obj.count == 4
+    obj.transcript.append(Point2(9.0, 9.0))
+    out = recognizer.observe()
+    assert out is not None
+    assert out.classification is FunctionClass.MONOTONE_INCREASING
+    # Five fed points, then the two endpoint probes.
+    assert (out.x_min, out.evaluations) == (0.0, 7)
+
+
 # ------------------------------------------------------------------ monotone
 
 def sample(f, xs):
@@ -103,7 +207,7 @@ def test_confirms_increasing():
     assert verdict is not None
     assert verdict.direction is FunctionClass.MONOTONE_INCREASING
     assert verdict.minimizer == Point2(0.0, 0.0)
-    assert verdict.extra_evaluations == 2
+    # A confirmed verdict costs exactly its two endpoint probes.
     assert obj.count == 2
 
 

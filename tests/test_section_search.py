@@ -197,6 +197,20 @@ def test_ratio_p_budget_exhaustion_status():
     assert out.evaluations <= 40
 
 
+def test_ratio_p_probe_rounding_onto_incumbent_does_not_raise():
+    # At c=1e-17 the probe c*end + (1-c)*m.x rounds back onto m.x, so the
+    # run revisits an abscissa; the monotone recognizer must see each
+    # abscissa once instead of raising on the duplicate.
+    tol = Tolerance()
+    obj = CountingObjective(lambda x: (x - 0.3) ** 2)
+    out = minimize_ratio_p(obj, Interval(0.0, 1.0), tol, RatioConfig(1e-17))
+    assert 0.0 <= out.x_min <= 1.0
+    if out.status is SolveStatus.BUDGET_EXHAUSTED:
+        assert not out.converged
+        assert out.evaluations == tol.max_evaluations
+    assert out.evaluations == obj.count
+
+
 def test_ratio_p_half_probes_longer_segment_midpoint():
     # At c = 0.5 every probe must land exactly on the midpoint of the
     # longer sub-segment around the incumbent.  Replay the elimination
