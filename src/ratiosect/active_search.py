@@ -120,9 +120,10 @@ def minimize_ratio_a(
 ) -> MinimizeOutcome:
     """Active ratio-section search (parabolic steps, ratio fallbacks).
 
-    Phase 1 runs passive ratio-section steps at ``c = 0.5`` — recognizers
-    and the tie rule of :func:`~ratiosect.section_search.minimize_ratio_p`
-    included — until the transcript contains a bracketing triple.  Phase 2
+    Phase 1 runs passive ratio-section steps at ``c = 0.5`` — the
+    :class:`~ratiosect.classify.Recognizer` and the tie rule of
+    :func:`~ratiosect.section_search.minimize_ratio_p` included — until the
+    run's points (one per abscissa) contain a bracketing triple.  Phase 2
     then iterates: take the parabola vertex if it is defined, lies strictly
     inside the bracket and is at least ``e0`` away from the current best
     point; otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward
