@@ -3,9 +3,10 @@
 Supports numeric literals, the variable ``x``, unary minus, the binary
 operators ``+ - * / ^`` (with ``^`` the right-associative power operator
 binding tighter than unary minus on its left, so ``-2^2 == -4`` and
-``2^-3 == 0.125``), and calls to ``sin``, ``cos``, ``exp``, ``abs``,
-``sqrt``, ``cosh``, ``sinh``, ``pow`` (two arguments) and variadic
-``max``/``min`` (two or more).  Whitespace is insignificant.
+``2^-3 == 0.125``), and calls to ``sin``, ``cos``, ``tan``, ``exp``,
+``ln``, ``abs``, ``sqrt``, ``cosh``, ``sinh``, ``tanh``, ``pow`` (two
+arguments) and variadic ``max``/``min`` (two or more).  Whitespace is
+insignificant.
 
 Example::
 
@@ -13,18 +14,22 @@ Example::
     >>> f(1.5)
     0.2
 
-Parse problems raise :class:`ExpressionError` carrying the offset of the
-offending token; evaluation at a finite ``x`` either returns a finite
-float or raises a domain/arithmetic error (``sqrt(-1)``, division by
-zero, overflow), which the solvers' objective wrapper turns into an
-evaluation failure.
+Parsing builds the evaluator: each grammar rule returns a closure of
+``x`` (a literal stays a float that its operator uses directly), so a call
+runs no tree walk.  Parse problems raise :class:`ExpressionError` carrying
+the offset of the offending token; evaluation at a finite ``x`` either
+returns a finite float or raises a domain/arithmetic error (``sqrt(-1)``,
+division by zero, overflow), which the solvers' objective wrapper turns
+into an evaluation failure.  Parsing computes nothing, so such an error is
+raised by the call, never by :func:`parse_expression`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import Any
+from typing import Callable, Union
 
 _TOKEN_RE = re.compile(
     r"""
@@ -36,28 +41,31 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# name -> (min arity, max arity or None for unbounded)
-_FUNCTIONS: dict[str, tuple[int, int | None]] = {
-    "sin": (1, 1),
-    "cos": (1, 1),
-    "exp": (1, 1),
-    "abs": (1, 1),
-    "sqrt": (1, 1),
-    "cosh": (1, 1),
-    "sinh": (1, 1),
-    "pow": (2, 2),
-    "max": (2, None),
-    "min": (2, None),
-}
 
-_UNARY_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-    "sqrt": math.sqrt,
-    "cosh": math.cosh,
-    "sinh": math.sinh,
+def _power(base: float, exponent: float) -> float:
+    result = base ** exponent
+    if isinstance(result, complex):
+        raise ValueError(
+            f"fractional power of negative base: {base!r} ^ {exponent!r}"
+        )
+    return result
+
+
+# name -> (min arity, max arity or None for unbounded, implementation)
+_FUNCTIONS: dict[str, tuple[int, int | None, Callable[..., float]]] = {
+    "sin": (1, 1, math.sin),
+    "cos": (1, 1, math.cos),
+    "tan": (1, 1, math.tan),
+    "exp": (1, 1, math.exp),
+    "ln": (1, 1, math.log),
+    "abs": (1, 1, abs),
+    "sqrt": (1, 1, math.sqrt),
+    "cosh": (1, 1, math.cosh),
+    "sinh": (1, 1, math.sinh),
+    "tanh": (1, 1, math.tanh),
+    "pow": (2, 2, _power),
+    "max": (2, None, max),
+    "min": (2, None, min),
 }
 
 
@@ -70,57 +78,46 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-def _power(base: float, exponent: float) -> float:
-    result = base ** exponent
-    if isinstance(result, complex):
-        raise ValueError(
-            f"fractional power of negative base: {base!r} ^ {exponent!r}"
-        )
-    return result
+# A parsed subexpression: a literal (kept as a float so that the operators
+# above it can use it directly) or a closure of ``x``.
+_Node = Union[float, Callable[[float], float]]
+
+_BINARY: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": _power,
+}
+
+
+def _closure(node: _Node) -> Callable[[float], float]:
+    if isinstance(node, float):
+        return lambda x: node
+    return node
+
+
+def _apply(op: Callable[[float, float], float], left: _Node, right: _Node) -> _Node:
+    """``x -> op(left(x), right(x))``, with a literal operand passed as is.
+    Nothing is computed here: a domain error raises when the result is called."""
+    if isinstance(left, float):
+        if isinstance(right, float):
+            return lambda x: op(left, right)
+        return lambda x: op(left, right(x))
+    if isinstance(right, float):
+        return lambda x: op(left(x), right)
+    return lambda x: op(left(x), right(x))
 
 
 class Expression:
     """A parsed expression; calling it evaluates at the given ``x``."""
 
-    def __init__(self, source: str, tree: Any):
+    def __init__(self, source: str, fn: Callable[[float], float]):
         self.source = source
-        self._tree = tree
+        self._fn = fn
 
     def __call__(self, x: float) -> float:
-        return float(_evaluate(self._tree, x))
+        return float(self._fn(x))
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"
-
-
-def _evaluate(node: Any, x: float) -> float:
-    match node:
-        case ("num", value):
-            return value
-        case ("var",):
-            return x
-        case ("neg", inner):
-            return -_evaluate(inner, x)
-        case ("bin", "+", left, right):
-            return _evaluate(left, x) + _evaluate(right, x)
-        case ("bin", "-", left, right):
-            return _evaluate(left, x) - _evaluate(right, x)
-        case ("bin", "*", left, right):
-            return _evaluate(left, x) * _evaluate(right, x)
-        case ("bin", "/", left, right):
-            return _evaluate(left, x) / _evaluate(right, x)
-        case ("bin", "^", left, right):
-            return _power(_evaluate(left, x), _evaluate(right, x))
-        case ("call", name, args):
-            values = [_evaluate(arg, x) for arg in args]
-            if name == "pow":
-                return _power(values[0], values[1])
-            if name == "max":
-                return max(values)
-            if name == "min":
-                return min(values)
-            return _UNARY_IMPL[name](values[0])
-    raise AssertionError(f"unreachable node {node!r}")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -165,52 +162,61 @@ class _Parser:
         self.advance()
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> Any:
+    def expr(self) -> _Node:
         node = self.term()
         while (op := self.match_op("+", "-")) is not None:
-            node = ("bin", op, node, self.term())
+            node = _apply(_BINARY[op], node, self.term())
         return node
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> Any:
+    def term(self) -> _Node:
         node = self.factor()
         while (op := self.match_op("*", "/")) is not None:
-            node = ("bin", op, node, self.factor())
+            node = _apply(_BINARY[op], node, self.factor())
         return node
 
     # factor := '-' factor | power
-    def factor(self) -> Any:
+    def factor(self) -> _Node:
         if self.match_op("-"):
-            return ("neg", self.factor())
+            inner = self.factor()
+            if isinstance(inner, float):
+                return -inner
+            return lambda x: -inner(x)
         return self.power()
 
     # power := atom ('^' factor)?   (right-associative)
-    def power(self) -> Any:
+    def power(self) -> _Node:
         node = self.atom()
         if self.match_op("^"):
-            return ("bin", "^", node, self.factor())
+            return _apply(_power, node, self.factor())
         return node
 
-    def atom(self) -> Any:
+    def atom(self) -> _Node:
         kind, value, pos = self.advance()
         if kind == "number":
-            return ("num", float(value))
+            return float(value)
         if kind == "ident":
             if value == "x":
-                return ("var",)
+                return lambda x: x
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 args = [self.expr()]
                 while self.match_op(","):
                     args.append(self.expr())
                 self.expect_op(")")
-                low, high = _FUNCTIONS[value]
+                low, high, impl = _FUNCTIONS[value]
                 if len(args) < low or (high is not None and len(args) > high):
                     wanted = str(low) if high == low else f"at least {low}"
                     raise ExpressionError(
                         f"{value}() takes {wanted} argument(s), got {len(args)}", pos
                     )
-                return ("call", value, tuple(args))
+                if high == 2:
+                    return _apply(impl, *args)
+                fns = [_closure(arg) for arg in args]
+                if high == 1:
+                    (arg,) = fns
+                    return lambda x: impl(arg(x))
+                return lambda x: impl([fn(x) for fn in fns])
             raise ExpressionError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -230,8 +236,8 @@ def parse_expression(text: str) -> Expression:
     unknown identifiers, or wrong call arity.
     """
     parser = _Parser(text)
-    tree = parser.expr()
+    node = parser.expr()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ExpressionError(f"unexpected trailing input {value!r}", pos)
-    return Expression(text, tree)
+    return Expression(text, _closure(node))

@@ -147,8 +147,13 @@ def minimize_golden(
             p.x, p.y, obj.count - start, FunctionClass.STRICT_INTERIOR,
             SolveStatus.BUDGET_EXHAUSTED,
         )
-    p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
-    p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
+    if math.isfinite(b - a):
+        p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
+        p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
+    else:  # b - a overflows; the brackets after the first cut are narrower
+        step = GOLDEN_RATIO * (0.5 * b - 0.5 * a)
+        p1 = obj.evaluate(b - step - step)
+        p2 = obj.evaluate(a + step + step)
     status = SolveStatus.CONVERGED
     while True:
         live = p1 if p1.y <= p2.y else p2

@@ -19,6 +19,7 @@ from ratiosect.core import (
     Tolerance,
     e0,
 )
+from ratiosect.expressions import parse_expression
 from ratiosect.section_search import RatioConfig
 
 TOL = Tolerance()
@@ -194,3 +195,21 @@ def test_random_quadratics_always_converge_on_target(scale, mag, neg, left, righ
     out = minimize_ratio_a(obj, Interval(v - left, v + right), TOL)
     assert out.converged
     assert abs(out.x_min - v) <= 10.0 * e0(TOL, v)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "phase 2 reads two adjacent bracket points with equal ordinates as a "
+    "flat bottom, but two points mirrored about the vertex of a symmetric "
+    "target tie as well; the run stops at x=-3.132281 after 10 evaluations, "
+    "1.33e-3 from v"))
+def test_ratio_a_mirrored_points_are_not_a_plateau():
+    # x=-3.132281 and x=-3.129625 straddle v and evaluate to the same float.
+    v = -3.1309531620863895
+    f = parse_expression(
+        "0.06804616180166694*abs(x - -3.1309531620863895)^4.225646312597501"
+        " + 0.7162131583056928")
+    out = minimize_ratio_a(
+        CountingObjective(f),
+        Interval(-3.6157112783660295, -1.9377811921288894),
+        Tolerance(max_evaluations=50_000), RatioConfig(1e-3))
+    assert abs(out.x_min - v) <= 1.1271467383511002e-3

@@ -153,3 +153,26 @@ def test_brent_m_cheaper_than_brent_on_suite():
         obj = CountingObjective(bf.evaluator)
         totals["modern"] += brent_m_minimize(obj, bf.interval, TOL).evaluations
     assert totals["modern"] < totals["classical"]
+
+
+@pytest.mark.parametrize("xatol", [1e-5, 1e-8])
+@pytest.mark.parametrize("fid", range(1, 21))
+def test_brent_transcript_matches_scipy_fminbound(fid, xatol):
+    # External oracle: scipy's bounded minimizer is the Brent (1973) /
+    # Forsythe-Malcolm-Moler fmin.  Its tolerance is sqrt(eps)*|x| + xatol/3,
+    # which is e0 with these settings, so both must probe the same abscissas
+    # bit for bit and in the same order.
+    optimize = pytest.importorskip("scipy.optimize")
+    bf = benchmark_function(fid)
+    obj = CountingObjective(bf.evaluator)
+    brent_minimize(obj, bf.interval,
+                   Tolerance(epsilon=math.sqrt(2.2e-16), floor=xatol / 3))
+    probes = []
+
+    def recorded(x):
+        probes.append(float(x))
+        return bf.evaluator(float(x))
+
+    optimize.minimize_scalar(recorded, bounds=(bf.interval.lo, bf.interval.hi),
+                             method="bounded", options={"xatol": xatol})
+    assert [p.x.hex() for p in obj.transcript] == [x.hex() for x in probes]

@@ -1,11 +1,13 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratiosect.benchsuite import benchmark_suite
-from ratiosect.expressions import ExpressionError, parse_expression
+from ratiosect.core import CountingObjective, EvaluationError
+from ratiosect.expressions import ExpressionError, _power, parse_expression
 
 
 def ev(text, x=0.0):
@@ -52,13 +54,20 @@ class TestPower:
 
 class TestFunctions:
     @pytest.mark.parametrize("name,impl", [
-        ("sin", math.sin), ("cos", math.cos), ("exp", math.exp),
-        ("abs", abs), ("cosh", math.cosh), ("sinh", math.sinh),
+        ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
+        ("exp", math.exp), ("abs", abs), ("cosh", math.cosh),
+        ("sinh", math.sinh), ("tanh", math.tanh),
     ])
     def test_unary(self, name, impl):
         f = parse_expression(f"{name}(x)")
         for x in (-1.5, 0.0, 0.7, 2.0):
             assert f(x) == impl(x)
+
+    def test_ln(self):
+        assert ev("ln(1)") == 0.0
+        assert ev("ln(x)", 2.5) == math.log(2.5)
+        with pytest.raises(ValueError):
+            ev("ln(0)")
 
     def test_sqrt(self):
         assert ev("sqrt(9)") == 3.0
@@ -133,3 +142,142 @@ def test_round_trip_against_builtin_evaluators():
 def test_parsed_arithmetic_matches_python(a, b):
     f = parse_expression("a + x * 2 - 3 / 4".replace("a", repr(a)))
     assert f(b) == a + b * 2 - 3 / 4
+
+
+# The tree walker the parser used before it built closures, kept as the
+# reference for them.  Its function table is its own, so a wrong entry in
+# the parser's table shows up as a mismatch.
+_REFERENCE_UNARY = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+    "ln": math.log, "abs": abs, "sqrt": math.sqrt, "cosh": math.cosh,
+    "sinh": math.sinh, "tanh": math.tanh,
+}
+
+
+def _evaluate(node, x):
+    match node:
+        case ("num", value):
+            return value
+        case ("var",):
+            return x
+        case ("neg", inner):
+            return -_evaluate(inner, x)
+        case ("bin", "+", left, right):
+            return _evaluate(left, x) + _evaluate(right, x)
+        case ("bin", "-", left, right):
+            return _evaluate(left, x) - _evaluate(right, x)
+        case ("bin", "*", left, right):
+            return _evaluate(left, x) * _evaluate(right, x)
+        case ("bin", "/", left, right):
+            return _evaluate(left, x) / _evaluate(right, x)
+        case ("bin", "^", left, right):
+            return _power(_evaluate(left, x), _evaluate(right, x))
+        case ("call", name, args):
+            values = [_evaluate(arg, x) for arg in args]
+            if name == "pow":
+                return _power(values[0], values[1])
+            if name == "max":
+                return max(values)
+            if name == "min":
+                return min(values)
+            return _REFERENCE_UNARY[name](values[0])
+    raise AssertionError(f"unreachable node {node!r}")
+
+
+# Binding strength of each node as the grammar sees it: expr (+ -) 1,
+# term (* /) 2, factor (unary minus) 3, power 4, atom 5.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _render(node, min_level=1):
+    """Source text for ``node`` with only the parentheses the grammar needs,
+    so precedence and associativity are exercised too."""
+    match node:
+        case ("num", value):
+            text, level = repr(value), 5
+        case ("var",):
+            text, level = "x", 5
+        case ("neg", inner):
+            text, level = "-" + _render(inner, 3), 3
+        case ("bin", op, left, right):
+            level = _LEVEL[op]
+            # ^ takes an atom on its left and a factor on its right; the
+            # other operators are left-associative.
+            lhs, rhs = (5, 3) if op == "^" else (level, level + 1)
+            text = f"{_render(left, lhs)} {op} {_render(right, rhs)}"
+        case ("call", name, args):
+            text, level = f"{name}({', '.join(_render(a) for a in args)})", 5
+    return f"({text})" if level < min_level else text
+
+
+_leaves = st.one_of(
+    st.tuples(st.just("num"),
+              st.floats(min_value=0.0, max_value=1e3) | st.sampled_from([0.0, 0.5, 2.0, 3.0])),
+    st.just(("var",)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("bin"), st.sampled_from("+-*/^"), children, children),
+        st.tuples(st.just("call"), st.sampled_from(sorted(_REFERENCE_UNARY)),
+                  st.tuples(children)),
+        st.tuples(st.just("call"), st.just("pow"), st.tuples(children, children)),
+        st.tuples(st.just("call"), st.sampled_from(["max", "min"]),
+                  st.lists(children, min_size=2, max_size=4).map(tuple)),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=12)
+
+
+def _outcome(fn, x):
+    try:
+        return float(fn(x)).hex()
+    except Exception as exc:  # noqa: BLE001 - the exception class is the outcome
+        return type(exc)
+
+
+@settings(max_examples=500)
+@given(_trees, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=4))
+def test_closures_match_tree_walker(tree, xs):
+    text = _render(tree)
+    parsed = parse_expression(text)
+    for x in xs + [0.0, -1.5, 2.0]:
+        assert _outcome(parsed, x) == _outcome(lambda x: _evaluate(tree, x), x), (text, x)
+
+
+def test_render_respects_precedence():
+    two, three = ("num", 2.0), ("num", 3.0)
+    assert _render(("bin", "^", two, ("bin", "^", three, two))) == "2.0 ^ 3.0 ^ 2.0"
+    assert _render(("bin", "^", ("bin", "^", two, three), two)) == "(2.0 ^ 3.0) ^ 2.0"
+    assert _render(("bin", "^", ("neg", two), three)) == "(-2.0) ^ 3.0"
+    assert _render(("neg", ("bin", "^", two, three))) == "-2.0 ^ 3.0"
+    assert _render(("bin", "-", two, ("bin", "-", three, two))) == "2.0 - (3.0 - 2.0)"
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1/0", ZeroDivisionError),
+    ("sqrt(-1)", ValueError),
+    ("(-2)^0.5", ValueError),
+])
+def test_domain_errors_raise_at_call_not_at_parse(text, error):
+    f = parse_expression(text)  # parsing computes nothing
+    with pytest.raises(error):
+        f(0.0)
+    with pytest.raises(EvaluationError):
+        CountingObjective(f).evaluate(0.0)
+
+
+def test_readme_lists_exactly_the_parser_functions():
+    from pathlib import Path
+
+    from ratiosect.expressions import _FUNCTIONS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Expressions understand"):]
+    paragraph = paragraph[:paragraph.index("free variable")]
+    names = set(re.findall(r"`([a-z]+)`", paragraph))
+    assert names == set(_FUNCTIONS)

@@ -211,6 +211,20 @@ def test_ratio_p_probe_rounding_onto_incumbent_does_not_raise():
     assert out.evaluations == obj.count
 
 
+def test_golden_on_interval_whose_width_overflows():
+    # b - a is inf here; the initial interior pair must still be finite.
+    # Contracting 2e308 down to e0 takes about 1,500 golden cuts, more than
+    # the budget, so the honest status is budget_exhausted.
+    tol = Tolerance()
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    out = minimize_golden(obj, Interval(-1e308, 1e308), tol)
+    first, second = obj.transcript[:2]
+    assert -1e308 < first.x < second.x < 1e308
+    assert -1e308 <= out.x_min <= 1e308
+    assert out.status is SolveStatus.BUDGET_EXHAUSTED
+    assert out.evaluations == obj.count == tol.max_evaluations
+
+
 def test_ratio_p_half_probes_longer_segment_midpoint():
     # At c = 0.5 every probe must land exactly on the midpoint of the
     # longer sub-segment around the incumbent.  Replay the elimination
