@@ -83,8 +83,8 @@ class ExpressionError(ValueError):
 _Node = Union[float, Callable[[float], float]]
 
 _BINARY: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "^": _power,
+    "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv,
 }
 
 

@@ -150,7 +150,7 @@ def minimize_golden(
     if math.isfinite(b - a):
         p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
         p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
-    else:  # b - a overflows; the brackets after the first cut are narrower
+    else:  # b - a overflows: scale the half-width and take the step twice
         step = GOLDEN_RATIO * (0.5 * b - 0.5 * a)
         p1 = obj.evaluate(b - step - step)
         p2 = obj.evaluate(a + step + step)

@@ -235,7 +235,7 @@ _trees = st.recursive(_leaves, _extend, max_leaves=12)
 def _outcome(fn, x):
     try:
         return float(fn(x)).hex()
-    except Exception as exc:  # noqa: BLE001 - the exception class is the outcome
+    except Exception as exc:  # the exception class is the outcome
         return type(exc)
 
 
