@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 from collections import Counter
 
@@ -281,6 +282,21 @@ def test_sweep_c_counts_regression():
     assert [(c.hex(), mean.hex()) for c, mean in samples] == [
         (c.hex(), mean.hex()) for c, mean in frozen
     ]
+
+
+def test_transcript_digests_regression():
+    # Every probe of every suite cell and of the c sweep, frozen as SHA-256
+    # digests of the probes' .hex() (scripts/freeze_transcripts.py writes
+    # the file): a probe that moves by one ulp fails here even when the
+    # counts above stay the same.
+    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
+    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(DATA_DIR / "transcript_digests.csv", newline="") as fh:
+        frozen = [tuple(row) for row in csv.reader(fh)][1:]
+    assert len(frozen) == 7 * 20 + 1
+    assert script.compute() == frozen
 
 
 def test_sweep_j_rows():
