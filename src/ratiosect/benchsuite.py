@@ -298,20 +298,20 @@ def run_benchmark(
     if not methods or not ids:
         raise ValueError("need at least one method and one function id")
     tol = tol or Tolerance()
+    problems = [benchmark_function(fid) for fid in ids]
     rows: list[BenchRow] = []
     for spec in methods:
-        for fid in ids:
-            bf = benchmark_function(fid)
+        for bf in problems:
             obj = CountingObjective(bf.evaluator)
             try:
                 out = solve_one(spec, obj, bf.interval, tol)
             except EvaluationError:
                 rows.append(BenchRow(
-                    spec.label, fid, obj.count, math.nan, math.nan, "", "failed",
+                    spec.label, bf.fid, obj.count, math.nan, math.nan, "", "failed",
                 ))
                 continue
             rows.append(BenchRow(
-                spec.label, fid, out.evaluations, out.x_min, out.f_min,
+                spec.label, bf.fid, out.evaluations, out.x_min, out.f_min,
                 out.classification.value, out.status.value,
             ))
     totals: dict[str, int] = {}

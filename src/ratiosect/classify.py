@@ -160,9 +160,10 @@ class Recognizer:
     since its last call and drops a point whose abscissa the run already
     holds; the points kept, in evaluation order, are :attr:`distinct`.
     Each ordinate maps to its level: the rank in :attr:`distinct` of the
-    level's first point, and the level's abscissas.  Only a level that a
-    new point joins can newly qualify as a plateau, so the plain rule
-    costs O(1) per evaluation.
+    level's first point, and, once a second point joins, the level's
+    abscissas (so a run whose ordinates never repeat allocates no list).
+    Only a level that a new point joins can newly qualify as a plateau, so
+    the plain rule costs O(1) per evaluation.
 
     A level qualifies with three abscissas.  With ``spaced=True`` (the
     modernized Brent flavour) they must also lie pairwise more than
@@ -186,7 +187,8 @@ class Recognizer:
         self.start = self.fed = obj.count
         self.distinct: list[Point2] = []
         self.abscissas: set[float] = set()
-        self.levels: dict[float, tuple[int, list[float]]] = {}
+        self.first: dict[float, int] = {}
+        self.level_xs: dict[float, list[float]] = {}
         self.monotone_done = False
 
     def observe(self) -> MinimizeOutcome | None:
@@ -204,21 +206,26 @@ class Recognizer:
 
     def _plateau(self) -> MinimizeOutcome | None:
         transcript = self.obj.transcript
-        new = transcript[self.fed:]
-        self.fed = len(transcript)
+        start, self.fed = self.fed, len(transcript)
+        abscissas, distinct, first = self.abscissas, self.distinct, self.first
         found: int | None = None
-        for point in new:
-            if point.x in self.abscissas:
+        for i in range(start, self.fed):
+            point = transcript[i]
+            x, y = point
+            if x in abscissas:
                 continue
-            self.abscissas.add(point.x)
-            self.distinct.append(point)
-            level = self.levels.get(point.y)
-            if level is None:
-                self.levels[point.y] = (len(self.distinct) - 1, [point.x])
+            abscissas.add(x)
+            n = len(distinct)
+            distinct.append(point)
+            rank = first.setdefault(y, n)
+            if rank == n:
                 continue
-            rank, xs = level
-            xs.append(point.x)
-            if len(xs) < 3 or (self.spaced and separated_count(xs, self.tol) < 3):
+            xs = self.level_xs.get(y)
+            if xs is None:
+                self.level_xs[y] = [distinct[rank].x, x]
+                continue
+            xs.append(x)
+            if self.spaced and separated_count(xs, self.tol) < 3:
                 continue
             if found is None or rank < found:
                 found = rank
@@ -226,7 +233,7 @@ class Recognizer:
                 break
         if found is None:
             return None
-        return self._outcome(self.distinct[found], FunctionClass.FLAT_BOTTOM)
+        return self._outcome(distinct[found], FunctionClass.FLAT_BOTTOM)
 
     def _outcome(self, p: Point2, cls: FunctionClass) -> MinimizeOutcome:
         return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,

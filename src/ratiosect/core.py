@@ -4,7 +4,8 @@ Every solver in this package works through a :class:`CountingObjective`:
 a wrapper that counts objective evaluations and records them, in order,
 as :class:`Point2` values.  The evaluation count is the performance metric
 everything else reports, so the wrapper deliberately never caches — asking
-for the same abscissa twice costs two evaluations.
+for the same abscissa twice costs two evaluations.  A :class:`Point2` is
+an immutable ``(x, y)`` tuple, so it also compares equal to a plain tuple.
 
 Termination is shared across solvers: a run stops once the whole bracket
 ``[a, b]`` around the incumbent abscissa lies within twice the
@@ -17,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
+
+_isfinite = math.isfinite
+_tuple_new = tuple.__new__
 
 
 class FunctionClass(Enum):
@@ -47,16 +51,24 @@ class EvaluationError(ValueError):
         self.x = x
 
 
-@dataclass(frozen=True)
-class Point2:
-    """An evaluated point: abscissa ``x`` and ordinate ``y``."""
-
+class _XY(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x!r}, {self.y!r})")
+
+class Point2(_XY):
+    """An evaluated point: abscissa ``x`` and ordinate ``y``.
+
+    An immutable ``(x, y)`` tuple whose constructor rejects a non-finite
+    coordinate with ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> Point2:
+        if not (_isfinite(x) and _isfinite(y)):
+            raise ValueError(f"non-finite point ({x!r}, {y!r})")
+        return _tuple_new(cls, (x, y))
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,7 @@ class CountingObjective:
         arithmetic error or returns a non-finite value; failed attempts are
         not counted and not recorded.
         """
-        if not math.isfinite(x):
+        if not _isfinite(x):
             raise EvaluationError(x, f"non-finite abscissa {x!r}")
         try:
             # TypeError covers complex results: a negative base under a
@@ -162,9 +174,10 @@ class CountingObjective:
             raise
         except (ValueError, TypeError, ArithmeticError) as exc:
             raise EvaluationError(x, f"objective raised {exc!r} at x={x!r}") from exc
-        if not math.isfinite(y):
+        if not _isfinite(y):
             raise EvaluationError(x, f"objective returned {y!r} at x={x!r}")
-        point = Point2(x, y)
+        # Both coordinates are checked above; skip Point2's own check.
+        point = _tuple_new(Point2, (x, y))
         self.transcript.append(point)
         return point
 

@@ -54,6 +54,13 @@ class RatioConfig:
             raise ValueError(f"section ratio must be in (0, 1), got {self.c!r}")
 
 
+def _wide_golden_pair(a: float, b: float) -> tuple[float, float]:
+    """The golden interior pair of ``[a, b]`` when ``b - a`` overflows:
+    the step is computed from the half-width and taken twice."""
+    step = GOLDEN_RATIO * (0.5 * b - 0.5 * a)
+    return b - step - step, a + step + step
+
+
 def _best_point(points: list[Point2]) -> Point2:
     # min() keeps the earliest point on ordinate ties, which makes results
     # deterministic under plateaus.
@@ -148,12 +155,11 @@ def minimize_golden(
             SolveStatus.BUDGET_EXHAUSTED,
         )
     if math.isfinite(b - a):
-        p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
-        p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
-    else:  # b - a overflows: scale the half-width and take the step twice
-        step = GOLDEN_RATIO * (0.5 * b - 0.5 * a)
-        p1 = obj.evaluate(b - step - step)
-        p2 = obj.evaluate(a + step + step)
+        x1, x2 = b - GOLDEN_RATIO * (b - a), a + GOLDEN_RATIO * (b - a)
+    else:
+        x1, x2 = _wide_golden_pair(a, b)
+    p1 = obj.evaluate(x1)
+    p2 = obj.evaluate(x2)
     status = SolveStatus.CONVERGED
     while True:
         live = p1 if p1.y <= p2.y else p2
@@ -162,14 +168,22 @@ def minimize_golden(
         if obj.count - start + 1 > tol.max_evaluations:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
+        # The width can still overflow after the first cuts of a bracket
+        # wider than about 2.9e308.
         if p1.y <= p2.y:
             b = p2.x
             p2 = p1
-            p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
+            if math.isfinite(b - a):
+                p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
+            else:
+                p1 = obj.evaluate(_wide_golden_pair(a, b)[0])
         else:
             a = p1.x
             p1 = p2
-            p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
+            if math.isfinite(b - a):
+                p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
+            else:
+                p2 = obj.evaluate(_wide_golden_pair(a, b)[1])
         if bracket_log is not None:
             bracket_log.append((a, b))
     best = _best_point(obj.transcript[start:])

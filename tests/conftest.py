@@ -1,6 +1,13 @@
+import os
 import pathlib
 
 from hypothesis import HealthCheck, settings
+
+# pytest puts src/ on its own path (pyproject.toml); the subprocesses some
+# tests start (the CLI entry point, the random harness) need it as well.
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite",

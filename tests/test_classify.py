@@ -177,6 +177,17 @@ def test_recognizer_batch_completing_two_levels():
         assert feed(recognizer, obj, batch) == want
 
 
+def test_spaced_recognizer_counts_the_level_first_abscissa():
+    # Level 1.0 gets 0.0, 3.0, 3.5 and 6.0; 3.0 and 3.5 merge, so only
+    # 0.0, 3.0 and 6.0 are three abscissas more than 2*e0 apart, and the
+    # first of them is the level's first point.
+    obj = CountingObjective(lambda x: 0.0)
+    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
+    for x in (0.0, 3.0, 3.5):
+        assert feed(recognizer, obj, pts((x, 1.0))) is None
+    assert feed(recognizer, obj, pts((6.0, 1.0))) == Point2(0.0, 1.0)
+
+
 def test_recognizer_runs_monotone_check_on_four_distinct_abscissas():
     f = lambda x: x
     obj = CountingObjective(f)

@@ -33,6 +33,15 @@ class TestPoint2:
         with pytest.raises(ValueError):
             Point2(x, y)
 
+    def test_immutable_tuple(self):
+        p = Point2(1.5, -2.25)
+        with pytest.raises(AttributeError):
+            p.x = 0.0
+        with pytest.raises(AttributeError):
+            p.z = 0.0
+        assert p == (1.5, -2.25) and hash(p) == hash((1.5, -2.25))
+        assert repr(p) == "Point2(x=1.5, y=-2.25)"
+
 
 class TestInterval:
     def test_width_and_midpoint(self):
@@ -168,6 +177,38 @@ class TestCountingObjective:
             obj.evaluate(x)
         assert [p.x for p in obj.transcript] == xs
         assert all(p.y == 2.0 * p.x + 1.0 for p in obj.transcript)
+
+    @given(xs=st.lists(finite, max_size=30))
+    def test_records_validated_points(self, xs):
+        # evaluate builds its points without Point2's own check; they must
+        # still be Point2 values equal to checked ones.
+        obj = CountingObjective(lambda x: 0.5 * x)
+        for x in xs:
+            assert obj.evaluate(x) is obj.transcript[-1]
+        for p in obj.transcript:
+            assert type(p) is Point2
+            assert p == Point2(p.x, p.y)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_target_not_called_for_non_finite_abscissa(self, x):
+        calls = []
+        obj = CountingObjective(lambda t: calls.append(t) or 0.0)
+        with pytest.raises(EvaluationError):
+            obj.evaluate(x)
+        assert calls == [] and obj.transcript == []
+
+    def test_error_messages(self):
+        with pytest.raises(EvaluationError, match=r"^non-finite abscissa nan$"):
+            CountingObjective(lambda x: x).evaluate(math.nan)
+        with pytest.raises(
+            EvaluationError,
+            match=r"^objective raised ValueError\('math domain error'\) at x=-1\.0$",
+        ) as raised:
+            CountingObjective(math.sqrt).evaluate(-1.0)
+        assert isinstance(raised.value.__cause__, ValueError)
+        with pytest.raises(EvaluationError, match=r"^objective returned -inf at x=2\.0$") as returned:
+            CountingObjective(lambda x: -math.inf).evaluate(2.0)
+        assert returned.value.x == 2.0
 
 
 def test_outcome_converged_flag():

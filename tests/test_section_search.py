@@ -225,6 +225,24 @@ def test_golden_on_interval_whose_width_overflows():
     assert out.evaluations == obj.count == tol.max_evaluations
 
 
+def test_golden_loop_on_bracket_whose_width_overflows_after_a_cut():
+    # 3.4e308 overflows b - a, and so does the width left after the first
+    # cut (about 2.1e308): the loop's probes must stay finite too.  The
+    # minimum itself is lost on such wide brackets (the carried-over
+    # interior point drifts), so only containment and the status are
+    # checked here.
+    tol = Tolerance()
+    iv = Interval(-1.7e308, 1.7e308)
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    log: list[tuple[float, float]] = []
+    out = minimize_golden(obj, iv, tol, bracket_log=log)
+    assert not math.isfinite(log[1][1] - log[1][0])
+    assert all(lo <= p.x <= hi for p in obj.transcript for lo, hi in [log[0]])
+    assert out.x_min in iv
+    assert out.status is SolveStatus.BUDGET_EXHAUSTED
+    assert out.evaluations == obj.count == tol.max_evaluations
+
+
 def test_ratio_p_half_probes_longer_segment_midpoint():
     # At c = 0.5 every probe must land exactly on the midpoint of the
     # longer sub-segment around the incumbent.  Replay the elimination
