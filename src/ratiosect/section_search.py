@@ -224,20 +224,24 @@ def minimize_ratio_p(
     if bracket_log is not None:
         bracket_log.append((a, b))
     recognizer = Recognizer(obj, interval, tol)
+    c = cfg.c
     m = obj.evaluate(0.5 * (a + b))
+    # The loop reads the incumbent's abscissa many times per probe; a
+    # local is cheaper than the Point2 field.
+    mx = m.x
     status = SolveStatus.CONVERGED
     while True:
         # Either the shared stop test or "the longer side has shrunk to
         # tolerance" ends the refinement.
-        if stop_test(a, b, m.x, tol) or max(m.x - a, b - m.x) <= e0(tol, m.x):
+        if stop_test(a, b, mx, tol) or max(mx - a, b - mx) <= e0(tol, mx):
             break
         if obj.count - start + 1 > tol.max_evaluations:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
-        if b - m.x >= m.x - a:
-            px = cfg.c * b + (1.0 - cfg.c) * m.x
+        if b - mx >= mx - a:
+            px = c * b + (1.0 - c) * mx
         else:
-            px = cfg.c * a + (1.0 - cfg.c) * m.x
+            px = c * a + (1.0 - c) * mx
         p = obj.evaluate(px)
         recognized = recognizer.observe()
         if recognized is not None:
@@ -245,17 +249,17 @@ def minimize_ratio_p(
 
         if p.y <= m.y:
             # p replaces m; the old incumbent bounds the side away from p.
-            if p.x < m.x:
-                b = m.x
+            if px < mx:
+                b = mx
             else:
-                a = m.x
-            m = p
+                a = mx
+            m, mx = p, px
         else:
             # p is worse; it tightens the bracket on its own side.
-            if p.x < m.x:
-                a = p.x
+            if px < mx:
+                a = px
             else:
-                b = p.x
+                b = px
         if bracket_log is not None:
             bracket_log.append((a, b))
     return MinimizeOutcome(
