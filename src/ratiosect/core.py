@@ -70,6 +70,10 @@ class Point2(_XY):
             raise ValueError(f"non-finite point ({x!r}, {y!r})")
         return _tuple_new(cls, (x, y))
 
+    @classmethod
+    def _make(cls, iterable) -> Point2:  # also behind _replace
+        return cls(*iterable)
+
 
 @dataclass(frozen=True)
 class Interval:

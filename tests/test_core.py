@@ -32,6 +32,10 @@ class TestPoint2:
     def test_rejects_non_finite(self, x, y):
         with pytest.raises(ValueError):
             Point2(x, y)
+        with pytest.raises(ValueError):
+            Point2._make((x, y))
+        with pytest.raises(ValueError):
+            Point2(0.5, 0.5)._replace(x=x, y=y)
 
     def test_immutable_tuple(self):
         p = Point2(1.5, -2.25)
