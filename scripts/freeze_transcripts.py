@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate tests/data/transcript_digests.csv.
+"""Regenerate tests/data/transcript_digests.csv and
+tests/data/random_transcript_digests.csv.
 
-Freezes one SHA-256 per run of the seven reference solver configurations
-over the 20 suite problems (``run_benchmark``, default tolerance), plus one
-over all runs of ``sweep_ratio_c`` on ids 7-20.  A digest covers every
-probe of its run(s) in evaluation order, as the ``.hex()`` of ``x`` and
-``y``.  The counts files only catch a change in how many probes a run
-spends; these digests also catch a probe that moved by one ulp.
+The first file freezes one SHA-256 per run of the seven reference solver
+configurations over the 20 suite problems (``run_benchmark``, default
+tolerance), plus one over all runs of ``sweep_ratio_c`` on ids 7-20.  A
+digest covers every probe of its run(s) in evaluation order, as the
+``.hex()`` of ``x`` and ``y``.  The counts files only catch a change in
+how many probes a run spends; these digests also catch a probe that moved
+by one ulp.
+
+The second file freezes one SHA-256 per solver of
+``scripts/random_harness.py`` (each at its default ratio) over 300 targets
+``a*|x - v|^p + k`` drawn by ``draw_target`` from ``random.Random(0)``
+with ``Tolerance(max_evaluations=50_000)``.  Besides every probe it covers
+every ``bracket_log`` entry and the outcome.  Those targets drive ratio-a
+far deeper into its parabolic phase than the suite does.
 
 Run with ``PYTHONPATH=src python scripts/freeze_transcripts.py``.
 """
@@ -16,11 +25,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import pathlib
+import random
 import sys
 from collections.abc import Iterator
 
-from ratiosect import CountingObjective, MethodSpec, benchsuite
+from ratiosect import CountingObjective, MethodSpec, Tolerance, benchsuite
 
 CONFIGS = [
     MethodSpec("bisect"),
@@ -33,7 +44,10 @@ CONFIGS = [
 ]
 IDS = range(1, 21)
 SWEEP_IDS = range(7, 21)
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "transcript_digests.csv"
+RANDOM_COUNT = 300
+SCRIPTS_DIR = pathlib.Path(__file__).resolve().parent
+OUT_PATH = SCRIPTS_DIR.parent / "tests" / "data" / "transcript_digests.csv"
+RANDOM_OUT_PATH = OUT_PATH.with_name("random_transcript_digests.csv")
 
 
 @contextlib.contextmanager
@@ -54,11 +68,15 @@ def recorded_objectives() -> Iterator[list[CountingObjective]]:
         benchsuite.CountingObjective = saved
 
 
+def hash_probes(h, obj: CountingObjective) -> None:
+    for p in obj.transcript:
+        h.update(f"{p.x.hex()} {p.y.hex()}\n".encode())
+
+
 def digest(objectives: list[CountingObjective]) -> str:
     h = hashlib.sha256()
     for obj in objectives:
-        for p in obj.transcript:
-            h.update(f"{p.x.hex()} {p.y.hex()}\n".encode())
+        hash_probes(h, obj)
     return h.hexdigest()
 
 
@@ -75,14 +93,44 @@ def compute() -> list[tuple[str, str, str]]:
     return rows
 
 
-def main() -> int:
-    rows = compute()
-    OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with OUT_PATH.open("w", newline="") as handle:
+def compute_random() -> list[tuple[str, str]]:
+    """``(solver, sha256)`` rows, one per solver of the random harness, in
+    its order; each digest covers all targets in draw order."""
+    spec = importlib.util.spec_from_file_location(
+        "random_harness", SCRIPTS_DIR / "random_harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    rng = random.Random(0)
+    tol = Tolerance(max_evaluations=50_000)
+    targets = [harness.draw_target(rng, tol) for _ in range(RANDOM_COUNT)]
+    rows = []
+    for name, run in harness.SOLVERS:
+        h = hashlib.sha256()
+        for f, _, interval, _ in targets:
+            obj = CountingObjective(f)
+            log: list[tuple[float, float]] = []
+            out = run(obj, interval, tol, log)
+            hash_probes(h, obj)
+            for lo, hi in log:
+                h.update(f"[{lo.hex()} {hi.hex()}]\n".encode())
+            h.update(f"{out.x_min.hex()} {out.f_min.hex()} {out.evaluations} "
+                     f"{out.classification.value} {out.status.value}\n".encode())
+        rows.append((name, h.hexdigest()))
+    return rows
+
+
+def write(path: pathlib.Path, header: list[str], rows: list[tuple[str, ...]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["config", "function_id", "sha256"])
+        writer.writerow(header)
         writer.writerows(rows)
-    print(f"wrote {OUT_PATH} ({len(rows)} digests)")
+    print(f"wrote {path} ({len(rows)} digests)")
+
+
+def main() -> int:
+    write(OUT_PATH, ["config", "function_id", "sha256"], compute())
+    write(RANDOM_OUT_PATH, ["solver", "sha256"], compute_random())
     return 0
 
 

@@ -13,6 +13,9 @@ fallback cheap.
 The bootstrap phase is the passive solver in bisection mode (``c = 0.5``)
 with the same monotone/flat-bottom recognizers, so degenerate targets
 finish as fast as they do under the passive method.
+
+The parabolic phase runs on six floats, not on :class:`BracketTriple`
+objects, with the vertex formula that :func:`parabola_vertex` wraps.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .core import (
     Point2,
     SolveStatus,
     Tolerance,
-    e0,
     stop_test,
 )
 from .section_search import RatioConfig
@@ -62,6 +64,21 @@ class BracketTriple:
         return self.right.x - self.left.x
 
 
+def _vertex(xl: float, yl: float, xm: float, ym: float, xr: float,
+            yr: float) -> float | None:
+    """The vertex formula of :func:`parabola_vertex` on bare floats;
+    ``None`` when the denominator vanishes."""
+    denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
+    if denominator == 0.0:
+        return None
+    numerator = (
+        yl * (xm * xm - xr * xr)
+        + ym * (xr * xr - xl * xl)
+        + yr * (xl * xl - xm * xm)
+    )
+    return 0.5 * numerator / denominator
+
+
 def parabola_vertex(t: BracketTriple) -> float:
     """Abscissa of the vertex of the parabola through the triple.
 
@@ -74,18 +91,11 @@ def parabola_vertex(t: BracketTriple) -> float:
     ``(left.x, right.x)``.  Raises :class:`CollinearPointsError` when the
     denominator vanishes.
     """
-    xl, yl = t.left.x, t.left.y
-    xm, ym = t.mid.x, t.mid.y
-    xr, yr = t.right.x, t.right.y
-    numerator = (
-        yl * (xm * xm - xr * xr)
-        + ym * (xr * xr - xl * xl)
-        + yr * (xl * xl - xm * xm)
-    )
-    denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
-    if denominator == 0.0:
+    (xl, yl), (xm, ym), (xr, yr) = t.left, t.mid, t.right
+    r = _vertex(xl, yl, xm, ym, xr, yr)
+    if r is None:
         raise CollinearPointsError(f"collinear points at x={xl!r}, {xm!r}, {xr!r}")
-    return 0.5 * numerator / denominator
+    return r
 
 
 def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
@@ -131,6 +141,12 @@ def minimize_ratio_a(
     ``e0``).  Two adjacent triple points sharing an ordinate classify the
     target as flat-bottomed; the run converges when the bracket width
     drops to ``2*e0``.
+
+    Phase 2 keeps the triple in six floats, validated once at the
+    hand-over.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly
+    lowest: the probe lies inside ``(xl, xr)`` at least ``e0`` from
+    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom
+    (as when a clamped probe rounds back onto ``xm``).
     """
     if cfg is None:
         cfg = RatioConfig(1e-3)
@@ -138,27 +154,29 @@ def minimize_ratio_a(
     start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
+    # Read once per solve; both loops use them on every probe.
+    epsilon, floor, c = tol.epsilon, tol.floor, cfg.c
+    transcript, limit = obj.transcript, start + tol.max_evaluations
 
     # --- Phase 1: bisection-mode bootstrap with recognizers -------------
     recognizer = Recognizer(obj, interval, tol)
-    m = obj.evaluate(0.5 * (a + b))
-    triple: BracketTriple | None = None
-    while triple is None:
-        if stop_test(a, b, m.x, tol) or max(m.x - a, b - m.x) <= e0(tol, m.x):
+    mx, my = obj.evaluate(0.5 * (a + b))
+    while True:
+        if stop_test(a, b, mx, tol) or max(mx - a, b - mx) <= epsilon * abs(mx) + floor:
             return MinimizeOutcome(
-                m.x, m.y, obj.count - start,
+                mx, my, len(transcript) - start,
                 FunctionClass.STRICT_INTERIOR, SolveStatus.CONVERGED,
             )
-        if obj.count - start + 1 > tol.max_evaluations:
+        if len(transcript) + 1 > limit:
             return MinimizeOutcome(
-                m.x, m.y, obj.count - start,
+                mx, my, len(transcript) - start,
                 FunctionClass.STRICT_INTERIOR, SolveStatus.BUDGET_EXHAUSTED,
             )
-        if b - m.x >= m.x - a:
-            px = 0.5 * b + 0.5 * m.x
+        if b - mx >= mx - a:
+            px = 0.5 * b + 0.5 * mx
         else:
-            px = 0.5 * a + 0.5 * m.x
-        p = obj.evaluate(px)
+            px = 0.5 * a + 0.5 * mx
+        py = obj.evaluate(px).y
         recognized = recognizer.observe()
         if recognized is not None:
             return recognized
@@ -166,78 +184,63 @@ def minimize_ratio_a(
         if triple is not None:
             break
 
-        if p.y <= m.y:
-            if p.x < m.x:
-                b = m.x
+        if py <= my:
+            if px < mx:
+                b = mx
             else:
-                a = m.x
-            m = p
+                a = mx
+            mx, my = px, py
+        elif px < mx:
+            a = px
         else:
-            if p.x < m.x:
-                a = p.x
-            else:
-                b = p.x
+            b = px
         if bracket_log is not None:
             bracket_log.append((a, b))
 
     # --- Phase 2: successive parabolic interpolation with guards --------
-    left, mid, right = triple.left, triple.mid, triple.right
+    (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
     if bracket_log is not None:
-        bracket_log.append((left.x, right.x))
+        bracket_log.append((xl, xr))
     status = SolveStatus.CONVERGED
     while True:
-        if right.x - left.x <= 2.0 * e0(tol, mid.x):
+        tiny = epsilon * abs(xm) + floor
+        if xr - xl <= 2.0 * tiny:
             break
-        if obj.count - start + 1 > tol.max_evaluations:
+        if len(transcript) + 1 > limit:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
-        tiny = e0(tol, mid.x)
-        r: float | None
-        try:
-            r = parabola_vertex(BracketTriple(left, mid, right))
-        except CollinearPointsError:
-            r = None
-        if r is not None and not (left.x < r < right.x and abs(r - mid.x) >= tiny):
-            r = None
-        if r is None:
+        r = _vertex(xl, yl, xm, ym, xr, yr)
+        if r is None or not (xl < r < xr and abs(r - xm) >= tiny):
             # Ratio fallback toward the farther endpoint (ties go right),
             # clamped so the probe keeps the minimum displacement from mid.
-            if mid.x - left.x > right.x - mid.x:
-                s = left.x
-            else:
-                s = right.x
-            r = cfg.c * s + (1.0 - cfg.c) * mid.x
-            if abs(r - mid.x) < tiny:
-                r = mid.x + tiny if s > mid.x else mid.x - tiny
-            if not left.x < r < right.x:
+            s = xl if xm - xl > xr - xm else xr
+            r = c * s + (1.0 - c) * xm
+            if abs(r - xm) < tiny:
+                r = xm + tiny if s > xm else xm - tiny
+            if not xl < r < xr:
                 # The displacement guard leaves no admissible abscissa
                 # inside the bracket: it is already at resolution.
                 break
-        p = obj.evaluate(r)
+        y = obj.evaluate(r).y
 
-        if p.y < mid.y:
-            if p.x < mid.x:
-                right = mid
+        if y < ym:
+            if r < xm:
+                xr, yr = xm, ym
             else:
-                left = mid
-            mid = p
+                xl, yl = xm, ym
+            xm, ym = r, y
+        elif r < xm:
+            xl, yl = r, y
         else:
-            if p.x < mid.x:
-                left = p
-            else:
-                right = p
+            xr, yr = r, y
         if bracket_log is not None:
-            bracket_log.append((left.x, right.x))
+            bracket_log.append((xl, xr))
         # Plateau: equal ordinates on adjacent triple points.
-        if left.y == mid.y or mid.y == right.y:
+        if yl == ym or ym == yr:
             return MinimizeOutcome(
-                mid.x, mid.y, obj.count - start,
+                xm, ym, len(transcript) - start,
                 FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
             )
     return MinimizeOutcome(
-        x_min=mid.x,
-        f_min=mid.y,
-        evaluations=obj.count - start,
-        classification=FunctionClass.STRICT_INTERIOR,
-        status=status,
+        xm, ym, len(transcript) - start, FunctionClass.STRICT_INTERIOR, status,
     )

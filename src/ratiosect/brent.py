@@ -42,6 +42,15 @@ from .section_search import RatioConfig
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def _first_abscissa(a: float, b: float) -> float:
+    """``a + g*(b - a)``; when ``b - a`` overflows, the step is computed
+    from the half-width and taken twice."""
+    if math.isfinite(b - a):
+        return a + GOLDEN_STEP * (b - a)
+    step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
+    return a + step + step
+
+
 @dataclass(frozen=True)
 class BrentState:
     """Loop state snapshot: bounds, the three retained points, and the
@@ -87,7 +96,7 @@ def brent_minimize(
     if bracket_log is not None:
         bracket_log.append((a, b))
 
-    px = obj.evaluate(a + GOLDEN_STEP * (b - a))
+    px = obj.evaluate(_first_abscissa(a, b))
     x, fx = px.x, px.y
     w, fw = x, fx
     v, fv = x, fx
@@ -202,7 +211,7 @@ def brent_m_minimize(
     if bracket_log is not None:
         bracket_log.append((a, b))
     recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
-    px = obj.evaluate(a + GOLDEN_STEP * (b - a))
+    px = obj.evaluate(_first_abscissa(a, b))
     x, fx = px.x, px.y
     w, fw = x, fx
     v, fv = x, fx

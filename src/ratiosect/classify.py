@@ -80,15 +80,15 @@ def detect_monotone(
     """
     if len(w) < 4:
         raise ValueError("monotone check needs at least four evaluated points")
-    pts = sorted(w, key=lambda p: p.x)
-    for left, right in zip(pts, pts[1:]):
-        if left.x == right.x:
-            raise ValueError(f"duplicate abscissa {left.x!r} in monotone check")
-    for p in pts:
-        if p.x not in interval:
-            raise ValueError(f"point x={p.x!r} outside {interval}")
+    # Points are (x, y) tuples, so sorting them orders them by abscissa.
+    xs, ys = zip(*sorted(w))
+    for left, right in zip(xs, xs[1:]):
+        if left == right:
+            raise ValueError(f"duplicate abscissa {left!r} in monotone check")
+    for x in xs:
+        if x not in interval:
+            raise ValueError(f"point x={x!r} outside {interval}")
 
-    ys = [p.y for p in pts]
     non_decreasing = all(a <= b for a, b in zip(ys, ys[1:]))
     non_increasing = all(a >= b for a, b in zip(ys, ys[1:]))
     if non_decreasing:

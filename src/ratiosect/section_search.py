@@ -92,11 +92,9 @@ def minimize_bisection(
     if bracket_log is not None:
         bracket_log.append((a, b))
     status = SolveStatus.CONVERGED
-    # The earliest lowest point so far, and the ordinates at a and b
-    # (None while that end is still an unevaluated interval end).
-    best: Point2 | None = None
-    ya: float | None = None
-    yb: float | None = None
+    # The earliest lowest point so far (bx, by), and the ordinates at a
+    # and b (None while that end is still an unevaluated interval end).
+    bx = by = ya = yb = None
     while True:
         mid = 0.5 * (a + b)
         if stop_test(a, b, mid, tol):
@@ -105,30 +103,32 @@ def minimize_bisection(
             status = SolveStatus.BUDGET_EXHAUSTED
             break
         delta = 0.5 * e0(tol, mid)
-        p1 = obj.evaluate(mid - delta)
-        p2 = obj.evaluate(mid + delta)
-        if p1.y != p2.y:
-            keep_left = p1.y < p2.y
-        elif best is not None and best.y < p1.y:
-            keep_left = best.x < mid
+        x1, x2 = mid - delta, mid + delta
+        y1 = obj.evaluate(x1).y
+        y2 = obj.evaluate(x2).y
+        if y1 != y2:
+            keep_left = y1 < y2
+        elif by is not None and by < y1:
+            keep_left = bx < mid
         else:
             keep_left = ya is None or yb is None or ya <= yb
         if keep_left:
-            b, yb = p2.x, p2.y
+            b, yb = x2, y2
         else:
-            a, ya = p1.x, p1.y
-        for p in (p1, p2):
-            if best is None or p.y < best.y:
-                best = p
+            a, ya = x1, y1
+        if by is None or y1 < by:
+            bx, by = x1, y1
+        if y2 < by:
+            bx, by = x2, y2
         if bracket_log is not None:
             bracket_log.append((a, b))
-    if best is None:
+    if by is None:
         # Converged before spending anything (degenerate-tiny input
         # interval): spend one evaluation so f_min is meaningful.
-        best = obj.evaluate(0.5 * (a + b))
+        bx, by = obj.evaluate(0.5 * (a + b))
     return MinimizeOutcome(
-        x_min=best.x,
-        f_min=best.y,
+        x_min=bx,
+        f_min=by,
         evaluations=obj.count - start,
         classification=FunctionClass.STRICT_INTERIOR,
         status=status,
@@ -158,32 +158,33 @@ def minimize_golden(
         x1, x2 = b - GOLDEN_RATIO * (b - a), a + GOLDEN_RATIO * (b - a)
     else:
         x1, x2 = _wide_golden_pair(a, b)
-    p1 = obj.evaluate(x1)
-    p2 = obj.evaluate(x2)
+    y1 = obj.evaluate(x1).y
+    y2 = obj.evaluate(x2).y
     status = SolveStatus.CONVERGED
     while True:
-        live = p1 if p1.y <= p2.y else p2
-        if stop_test(a, b, live.x, tol):
+        if stop_test(a, b, x1 if y1 <= y2 else x2, tol):
             break
         if obj.count - start + 1 > tol.max_evaluations:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
         # The width can still overflow after the first cuts of a bracket
         # wider than about 2.9e308.
-        if p1.y <= p2.y:
-            b = p2.x
-            p2 = p1
+        if y1 <= y2:
+            b = x2
+            x2, y2 = x1, y1
             if math.isfinite(b - a):
-                p1 = obj.evaluate(b - GOLDEN_RATIO * (b - a))
+                x1 = b - GOLDEN_RATIO * (b - a)
             else:
-                p1 = obj.evaluate(_wide_golden_pair(a, b)[0])
+                x1 = _wide_golden_pair(a, b)[0]
+            y1 = obj.evaluate(x1).y
         else:
-            a = p1.x
-            p1 = p2
+            a = x1
+            x1, y1 = x2, y2
             if math.isfinite(b - a):
-                p2 = obj.evaluate(a + GOLDEN_RATIO * (b - a))
+                x2 = a + GOLDEN_RATIO * (b - a)
             else:
-                p2 = obj.evaluate(_wide_golden_pair(a, b)[1])
+                x2 = _wide_golden_pair(a, b)[1]
+            y2 = obj.evaluate(x2).y
         if bracket_log is not None:
             bracket_log.append((a, b))
     best = _best_point(obj.transcript[start:])

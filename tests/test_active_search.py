@@ -13,6 +13,7 @@ from ratiosect.active_search import (
 from ratiosect.benchsuite import benchmark_function
 from ratiosect.core import (
     CountingObjective,
+    EvaluationError,
     FunctionClass,
     Interval,
     Point2,
@@ -195,6 +196,50 @@ def test_random_quadratics_always_converge_on_target(scale, mag, neg, left, righ
     out = minimize_ratio_a(obj, Interval(v - left, v + right), TOL)
     assert out.converged
     assert abs(out.x_min - v) <= 10.0 * e0(TOL, v)
+
+
+_HUGE = st.floats(min_value=-1e308, max_value=1e308)
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                       exclude_max=True)
+
+
+# Each draw mixes the whole valid range with a typical one, so that many
+# runs reach the parabolic phase instead of stopping at once.
+@given(
+    c=_OPEN_UNIT,
+    ends=st.tuples(st.one_of(_HUGE, st.floats(-100.0, 100.0)),
+                   st.one_of(_HUGE, st.floats(-100.0, 100.0)),
+                   ).filter(lambda e: e[0] != e[1]),
+    epsilon=st.one_of(_OPEN_UNIT, st.floats(1e-12, 1e-3)),
+    floor=st.one_of(st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+                    st.floats(1e-300, 1e-6)),
+    budget=st.integers(min_value=1, max_value=2000),
+    a=st.one_of(st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+                st.floats(1e-3, 1e3)),
+    where=st.floats(0.0, 1.0),
+    power=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+)
+def test_ratio_a_any_configuration_keeps_the_triple_invariant(
+        c, ends, epsilon, floor, budget, a, where, power):
+    # Phase 2 no longer validates its triple on every step; this guards
+    # the invariant instead.  On any valid input the run raises nothing
+    # but EvaluationError, returns a point of the interval, and nests
+    # every logged bracket inside the one before it.
+    lo, hi = min(ends), max(ends)
+    v = lo * (1.0 - where) + hi * where
+    interval = Interval(lo, hi)
+    tol = Tolerance(epsilon, floor, budget)
+    log: list[tuple[float, float]] = []
+    try:
+        out = minimize_ratio_a(
+            CountingObjective(lambda x: a * abs(x - v) ** power), interval,
+            tol, RatioConfig(c), bracket_log=log)
+    except EvaluationError:
+        out = None
+    if out is not None:
+        assert out.x_min in interval
+    for (lo0, hi0), (lo1, hi1) in zip(log, log[1:]):
+        assert lo0 <= lo1 < hi1 <= hi0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

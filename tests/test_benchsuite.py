@@ -299,6 +299,22 @@ def test_transcript_digests_regression():
     assert script.compute() == frozen
 
 
+def test_random_transcript_digests_regression():
+    # One digest per solver over 300 random-harness targets: every probe,
+    # bracket_log entry and outcome (scripts/freeze_transcripts.py writes
+    # the file).  The suite gives ratio-a 215 evaluations in all; these
+    # targets give it 13,125, about 11,700 of them in its parabolic phase.
+    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
+    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
+        frozen = [tuple(row) for row in csv.reader(fh)][1:]
+    assert [name for name, _ in frozen] == [
+        "bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
+    assert script.compute_random() == frozen
+
+
 def test_sweep_j_rows():
     rows = sweep_ratio_a_exponent([12], -4, -2)
     assert [j for j, _, _ in rows] == [-4, -3, -2]

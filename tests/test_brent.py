@@ -32,6 +32,22 @@ def test_first_probe_position():
     assert obj.transcript[0].x == GOLDEN_STEP
 
 
+@pytest.mark.parametrize("solve", [brent_minimize, brent_m_minimize])
+def test_start_on_interval_wider_than_max_float(solve):
+    # b - a overflows here; the first abscissa takes the golden step from
+    # the half-width twice instead of raising on a non-finite abscissa.
+    interval = Interval(-1e308, 1e308)
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    out = solve(obj, interval, TOL)
+    assert out.x_min in interval
+    assert out.evaluations == obj.count
+    # Honest status: converged on 0.3, or the whole budget spent.
+    if out.converged:
+        assert abs(out.x_min - 0.3) <= 2.0 * e0(TOL, 0.3)
+    else:
+        assert out.evaluations == TOL.max_evaluations
+
+
 def test_brent_quadratic():
     obj = CountingObjective(lambda x: 3.0 * (x - 0.3) ** 2 + 0.5)
     out = brent_minimize(obj, Interval(0.0, 1.0), TOL)
