@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate tests/data/transcript_digests.csv and
-tests/data/random_transcript_digests.csv.
+"""Regenerate tests/data/transcript_digests.csv,
+tests/data/random_transcript_digests.csv and tests/data/cli_digests.csv.
 
 The first file freezes one SHA-256 per run of the seven reference solver
 configurations over the 20 suite problems (``run_benchmark``, default
@@ -17,6 +17,10 @@ with ``Tolerance(max_evaluations=50_000)``.  Besides every probe it covers
 every ``bracket_log`` entry and the outcome.  Those targets drive ratio-a
 far deeper into its parabolic phase than the suite does.
 
+The third file freezes the command line's output: one row per invocation
+in ``CLI_CASES`` (every subcommand in all three formats) with its argv,
+exit code and the SHA-256 of its stdout.
+
 Run with ``PYTHONPATH=src python scripts/freeze_transcripts.py``.
 """
 
@@ -26,12 +30,14 @@ import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import pathlib
 import random
+import shlex
 import sys
 from collections.abc import Iterator
 
-from ratiosect import CountingObjective, MethodSpec, Tolerance, benchsuite
+from ratiosect import CountingObjective, MethodSpec, Tolerance, benchsuite, cli
 
 CONFIGS = [
     MethodSpec("bisect"),
@@ -48,6 +54,32 @@ RANDOM_COUNT = 300
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parent
 OUT_PATH = SCRIPTS_DIR.parent / "tests" / "data" / "transcript_digests.csv"
 RANDOM_OUT_PATH = OUT_PATH.with_name("random_transcript_digests.csv")
+CLI_OUT_PATH = OUT_PATH.with_name("cli_digests.csv")
+
+_TARGET = ["--expr", "0.2+abs(x-1.3)^1.5", "--a", "0", "--b", "4"]
+_CLI_BASE = [
+    *(["minimize", *_TARGET, "--method", m]
+      for m in ("bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m")),
+    ["minimize", "--expr", "exp(x)", "--a", "0", "--b", "2", "--method", "ratio-a"],
+    ["minimize", *_TARGET, "--method", "brent-m", "--c", "0.3"],
+    # Spends the whole budget: exit code 2.
+    ["minimize", "--expr", "(x-0.3)^2", "--a", "0", "--b", "1",
+     "--method", "ratio-p", "--c", "1e-12"],
+    ["bench", "--methods", "bisect,golden,ratio-p,ratio-a,brent,brent-m"],
+    ["bench", "--methods", "bisect,golden,ratio-p,ratio-a,brent,brent-m",
+     "--compare-paper"],
+    # Only some of the selected configurations have reference counts.
+    ["bench", "--methods", "bisect,ratio-p,brent,brent-m", "--c", "0.3",
+     "--compare-paper"],
+    ["bench", "--methods", "golden,ratio-p", "--functions", "1-3,7,12",
+     "--eps", "1e-8"],
+    ["sweep-c"],
+    ["sweep-c", "--fit-degree", "3"],
+    ["sweep-j"],
+]
+#: Every subcommand invocation above, in each output format.
+CLI_CASES = [[*argv, "--format", fmt] for argv in _CLI_BASE
+             for fmt in ("csv", "markdown", "json-lines")]
 
 
 @contextlib.contextmanager
@@ -119,6 +151,19 @@ def compute_random() -> list[tuple[str, str]]:
     return rows
 
 
+def compute_cli() -> list[tuple[str, str, str]]:
+    """``(argv, exit code, sha256 of stdout)`` rows, one per ``CLI_CASES``
+    entry."""
+    rows = []
+    for argv in CLI_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        rows.append((shlex.join(argv), str(code),
+                     hashlib.sha256(out.getvalue().encode()).hexdigest()))
+    return rows
+
+
 def write(path: pathlib.Path, header: list[str], rows: list[tuple[str, ...]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
@@ -131,6 +176,7 @@ def write(path: pathlib.Path, header: list[str], rows: list[tuple[str, ...]]) ->
 def main() -> int:
     write(OUT_PATH, ["config", "function_id", "sha256"], compute())
     write(RANDOM_OUT_PATH, ["solver", "sha256"], compute_random())
+    write(CLI_OUT_PATH, ["argv", "exit_code", "sha256"], compute_cli())
     return 0
 
 

@@ -1,8 +1,10 @@
 import csv
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +296,22 @@ def test_sweep_determinism(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_output_digests_regression():
+    # The stdout bytes and exit code of every subcommand in all three
+    # formats, frozen as SHA-256 digests (scripts/freeze_transcripts.py
+    # writes the file).  The schema tests above check fields; this checks
+    # every byte.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "freeze_transcripts", root / "scripts" / "freeze_transcripts.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(root / "tests" / "data" / "cli_digests.csv", newline="") as fh:
+        frozen = [tuple(row) for row in csv.reader(fh)][1:]
+    assert len(frozen) == 48
+    assert script.compute_cli() == frozen
 
 
 # ------------------------------------------------------------- entry points
