@@ -10,9 +10,9 @@ vertex is unusable.  A small ratio ``c`` (default ``1e-3``) places the
 fallback probe just off the current best point, which is what makes the
 fallback cheap.
 
-The bootstrap phase is the passive solver in bisection mode (``c = 0.5``)
-with the same monotone/flat-bottom recognizers, so degenerate targets
-finish as fast as they do under the passive method.
+The bootstrap phase is the passive solver's own loop in bisection mode
+(``c = 0.5``), recognizers included, so degenerate targets finish as fast
+as they do under the passive method.
 
 The parabolic phase runs on six floats, not on :class:`BracketTriple`
 objects, with the vertex formula that :func:`parabola_vertex` wraps.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Recognizer
 from .core import (
     CountingObjective,
     FunctionClass,
@@ -31,9 +30,8 @@ from .core import (
     Point2,
     SolveStatus,
     Tolerance,
-    stop_test,
 )
-from .section_search import RatioConfig
+from .section_search import RatioConfig, _ratio_section
 
 
 class CollinearPointsError(ValueError):
@@ -130,14 +128,14 @@ def minimize_ratio_a(
 ) -> MinimizeOutcome:
     """Active ratio-section search (parabolic steps, ratio fallbacks).
 
-    Phase 1 runs passive ratio-section steps at ``c = 0.5`` — the
-    :class:`~ratiosect.classify.Recognizer` and the tie rule of
-    :func:`~ratiosect.section_search.minimize_ratio_p` included — until the
-    run's points (one per abscissa) contain a bracketing triple.  Phase 2
-    then iterates: take the parabola vertex if it is defined, lies strictly
-    inside the bracket and is at least ``e0`` away from the current best
-    point; otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward
-    the farther bracket endpoint ``s`` (never closer to ``mid`` than
+    Phase 1 is the loop of
+    :func:`~ratiosect.section_search.minimize_ratio_p` at ``c = 0.5``, its
+    recognizers and tie rule included, run until the run's points (one
+    per abscissa) contain a bracketing triple.  Phase 2 then iterates:
+    take the parabola vertex if it is defined, lies strictly inside the
+    bracket and is at least ``e0`` away from the current best point;
+    otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward the
+    farther bracket endpoint ``s`` (never closer to ``mid`` than
     ``e0``).  Two adjacent triple points sharing an ordinate classify the
     target as flat-bottomed; the run converges when the bracket width
     drops to ``2*e0``.
@@ -150,54 +148,16 @@ def minimize_ratio_a(
     """
     if cfg is None:
         cfg = RatioConfig(1e-3)
-    a, b = interval.lo, interval.hi
     start = obj.count
-    if bracket_log is not None:
-        bracket_log.append((a, b))
-    # Read once per solve; both loops use them on every probe.
-    epsilon, floor, c = tol.epsilon, tol.floor, cfg.c
-    transcript, limit = obj.transcript, start + tol.max_evaluations
-
-    # --- Phase 1: bisection-mode bootstrap with recognizers -------------
-    recognizer = Recognizer(obj, interval, tol)
-    mx, my = obj.evaluate(0.5 * (a + b))
-    while True:
-        if stop_test(a, b, mx, tol) or max(mx - a, b - mx) <= epsilon * abs(mx) + floor:
-            return MinimizeOutcome(
-                mx, my, len(transcript) - start,
-                FunctionClass.STRICT_INTERIOR, SolveStatus.CONVERGED,
-            )
-        if len(transcript) + 1 > limit:
-            return MinimizeOutcome(
-                mx, my, len(transcript) - start,
-                FunctionClass.STRICT_INTERIOR, SolveStatus.BUDGET_EXHAUSTED,
-            )
-        if b - mx >= mx - a:
-            px = 0.5 * b + 0.5 * mx
-        else:
-            px = 0.5 * a + 0.5 * mx
-        py = obj.evaluate(px).y
-        recognized = recognizer.observe()
-        if recognized is not None:
-            return recognized
-        triple = _scan_for_triple(recognizer.distinct)
-        if triple is not None:
-            break
-
-        if py <= my:
-            if px < mx:
-                b = mx
-            else:
-                a = mx
-            mx, my = px, py
-        elif px < mx:
-            a = px
-        else:
-            b = px
-        if bracket_log is not None:
-            bracket_log.append((a, b))
+    # --- Phase 1: ratio-p's loop at c = 0.5, until a bracketing triple ---
+    triple = _ratio_section(obj, interval, tol, 0.5, bracket_log, _scan_for_triple)
+    if isinstance(triple, MinimizeOutcome):
+        return triple
 
     # --- Phase 2: successive parabolic interpolation with guards --------
+    # Read once per solve; the loop uses them on every probe.
+    epsilon, floor, c = tol.epsilon, tol.floor, cfg.c
+    transcript, limit = obj.transcript, start + tol.max_evaluations
     (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
     if bracket_log is not None:
         bracket_log.append((xl, xr))

@@ -5,17 +5,21 @@ parabolic interpolation through the three best points, guarded by
 golden-section steps whenever the parabola is untrustworthy (vertex out of
 bounds, or a step not smaller than half the second-to-last step).
 
-:func:`brent_m_minimize` is the modernized variant: structurally the same
-loop with two changes — the golden fallback ``d = g*e`` becomes the
-ratio-section step ``d = c*e``, and the fast recognizers from
-:mod:`~ratiosect.classify` run on the transcript, so constants finish in
-3 evaluations and monotone targets in 6 with the exact endpoint result
-(classical Brent grinds through dozens of evaluations on those and, for
-monotone targets, stops short of the endpoint by up to ``3*e0``).
+:func:`brent_m_minimize` is the modernized variant with two changes: the
+golden fallback ``d = g*e`` becomes the ratio-section step ``d = c*e``,
+and the fast recognizers from :mod:`~ratiosect.classify` run on the
+transcript, so constants finish in 3 evaluations and monotone targets in
+6 with the exact endpoint result (classical Brent grinds through dozens
+of evaluations on those and, for monotone targets, stops short of the
+endpoint by up to ``3*e0``).
 
-With ``c`` equal to the golden step constant and the recognizers disabled,
-the variant reproduces the classical transcript bit for bit; tests rely on
-that degeneration to pin the two implementations together.
+Both solvers run one loop, the private ``_brent``, which takes the
+fallback ratio and the recognizer as arguments.  With ``c`` equal to the
+golden step constant and the recognizers disabled, the variant therefore
+reproduces the classical transcript bit for bit (the C8 acceptance gate
+checks this); the independent anchor for the loop is
+``test_brent_transcript_matches_scipy_fminbound``, which compares the
+classical transcripts with scipy's bounded minimizer.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .core import (
     Point2,
     SolveStatus,
     Tolerance,
-    e0,
+    halfway,
     stop_test,
 )
 from .section_search import RatioConfig
@@ -40,15 +44,6 @@ from .section_search import RatioConfig
 #: Fraction of the larger sub-interval taken by a golden fallback step,
 #: (3 - sqrt(5)) / 2.
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _first_abscissa(a: float, b: float) -> float:
-    """``a + g*(b - a)``; when ``b - a`` overflows, the step is computed
-    from the half-width and taken twice."""
-    if math.isfinite(b - a):
-        return a + GOLDEN_STEP * (b - a)
-    step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
-    return a + step + step
 
 
 @dataclass(frozen=True)
@@ -74,44 +69,50 @@ class BrentStep:
     state: BrentState
 
 
-def brent_minimize(
+def _brent(
     obj: CountingObjective,
     interval: Interval,
     tol: Tolerance,
-    *,
-    bracket_log: list[tuple[float, float]] | None = None,
-    step_log: list[BrentStep] | None = None,
+    c: float,
+    fallback_kind: str,
+    recognizer: Recognizer | None,
+    bracket_log: list[tuple[float, float]] | None,
+    step_log: list[BrentStep] | None,
 ) -> MinimizeOutcome:
-    """Classical Brent minimization.
-
-    Starts at ``a + g*(b - a)``.  A parabolic step through the three
-    retained points ``x, w, v`` is accepted only when its target lies
-    within bounds and its length is below half of the second-to-last step;
-    otherwise a golden step ``d = g*e`` into the larger sub-interval is
-    taken.  Every probe is kept at least ``e0(x)`` away from ``x``.  No
-    classification is attempted: the verdict is always ``strict_interior``.
-    """
+    """The Brent loop of both solvers: fallback steps ``d = c*e`` logged
+    as ``fallback_kind``, and the run's outcome as soon as ``recognizer``
+    (if any) recognizes it."""
     a, b = interval.lo, interval.hi
     start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
-
-    px = obj.evaluate(_first_abscissa(a, b))
-    x, fx = px.x, px.y
+    # Read once per solve; the loop uses them on every probe.
+    epsilon, floor = tol.epsilon, tol.floor
+    transcript, limit = obj.transcript, start + tol.max_evaluations
+    if math.isfinite(b - a):
+        x = a + GOLDEN_STEP * (b - a)
+    else:
+        # b - a overflows: take the step from the half-width, twice.
+        step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
+        x = a + step + step
+    x, fx = obj.evaluate(x)
     w, fw = x, fx
     v, fv = x, fx
     d = 0.0
     e = 0.0
     status = SolveStatus.CONVERGED
 
+    if recognizer is not None and (early := recognizer.observe()) is not None:
+        return early
+
     while True:
         if stop_test(a, b, x, tol):
             break
-        if obj.count - start + 1 > tol.max_evaluations:
+        if len(transcript) + 1 > limit:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
-        m = 0.5 * (a + b)
-        tol1 = e0(tol, x)
+        m = halfway(a, b)
+        tol1 = epsilon * abs(x) + floor
         t2 = 2.0 * tol1
 
         p = q = r = 0.0
@@ -135,131 +136,16 @@ def brent_minimize(
             if u - a < t2 or b - u < t2:
                 d = tol1 if x < m else -tol1
         else:
-            kind = "golden"
+            kind = fallback_kind
             e = (b - x) if x < m else (a - x)
-            d = GOLDEN_STEP * e
+            # A tiny c can underflow c*e to zero; keep the step's side.
+            d = c * e or (tol1 if e > 0.0 else -tol1)
         # Never evaluate closer than tol1 to x.
         if abs(d) >= tol1:
             u = x + d
         else:
             u = x + (tol1 if d > 0.0 else -tol1)
-        pu = obj.evaluate(u)
-        fu = pu.y
-
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        if bracket_log is not None:
-            bracket_log.append((a, b))
-        if step_log is not None:
-            step_log.append(BrentStep(kind, BrentState(
-                a, b, Point2(x, fx), Point2(w, fw), Point2(v, fv), d, e,
-            )))
-    return MinimizeOutcome(
-        x_min=x,
-        f_min=fx,
-        evaluations=obj.count - start,
-        classification=FunctionClass.STRICT_INTERIOR,
-        status=status,
-    )
-
-
-def brent_m_minimize(
-    obj: CountingObjective,
-    interval: Interval,
-    tol: Tolerance,
-    cfg: RatioConfig | None = None,
-    *,
-    use_recognizers: bool = True,
-    bracket_log: list[tuple[float, float]] | None = None,
-    step_log: list[BrentStep] | None = None,
-) -> MinimizeOutcome:
-    """Brent minimization with ratio-section fallbacks and recognizers.
-
-    Identical to :func:`brent_minimize` except that (i) the fallback step
-    is ``d = c*e`` (default ``c = 0.2``), (ii) a
-    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
-    bottom after every evaluation, and (iii) runs the monotone recognizer
-    once when the run first holds four distinct abscissas.  Pass
-    ``use_recognizers=False`` to strip (ii) and (iii).
-
-    The recognizer runs in its ``spaced`` flavour: the flat-bottom rule
-    counts only abscissas more than ``2*e0`` apart
-    (:func:`~ratiosect.classify.separated_count`), because this loop's
-    ``tol1`` steps put probes ``e0`` apart, and near a very flat bottom
-    three of them can share the ordinate of one wall step.
-    """
-    if cfg is None:
-        cfg = RatioConfig(0.2)
-    a, b = interval.lo, interval.hi
-    start = obj.count
-    if bracket_log is not None:
-        bracket_log.append((a, b))
-    recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
-    px = obj.evaluate(_first_abscissa(a, b))
-    x, fx = px.x, px.y
-    w, fw = x, fx
-    v, fv = x, fx
-    d = 0.0
-    e = 0.0
-    status = SolveStatus.CONVERGED
-
-    if recognizer is not None and (early := recognizer.observe()) is not None:
-        return early
-
-    while True:
-        if stop_test(a, b, x, tol):
-            break
-        if obj.count - start + 1 > tol.max_evaluations:
-            status = SolveStatus.BUDGET_EXHAUSTED
-            break
-        m = 0.5 * (a + b)
-        tol1 = e0(tol, x)
-        t2 = 2.0 * tol1
-
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            r = e
-            e = d
-        if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
-            kind = "parabolic"
-            d = p / q
-            u = x + d
-            if u - a < t2 or b - u < t2:
-                d = tol1 if x < m else -tol1
-        else:
-            kind = "ratio"
-            e = (b - x) if x < m else (a - x)
-            d = cfg.c * e
-        if abs(d) >= tol1:
-            u = x + d
-        else:
-            u = x + (tol1 if d > 0.0 else -tol1)
-        pu = obj.evaluate(u)
-        fu = pu.y
+        fu = obj.evaluate(u).y
         if recognizer is not None and (early := recognizer.observe()) is not None:
             return early
 
@@ -290,7 +176,58 @@ def brent_m_minimize(
     return MinimizeOutcome(
         x_min=x,
         f_min=fx,
-        evaluations=obj.count - start,
+        evaluations=len(transcript) - start,
         classification=FunctionClass.STRICT_INTERIOR,
         status=status,
     )
+
+
+def brent_minimize(
+    obj: CountingObjective,
+    interval: Interval,
+    tol: Tolerance,
+    *,
+    bracket_log: list[tuple[float, float]] | None = None,
+    step_log: list[BrentStep] | None = None,
+) -> MinimizeOutcome:
+    """Classical Brent minimization.
+
+    Starts at ``a + g*(b - a)``.  A parabolic step through the three
+    retained points ``x, w, v`` is accepted only when its target lies
+    within bounds and its length is below half of the second-to-last step;
+    otherwise a golden step ``d = g*e`` into the larger sub-interval is
+    taken.  Every probe is kept at least ``e0(x)`` away from ``x``.  No
+    classification is attempted: the verdict is always ``strict_interior``.
+    """
+    return _brent(obj, interval, tol, GOLDEN_STEP, "golden", None,
+                  bracket_log, step_log)
+
+
+def brent_m_minimize(
+    obj: CountingObjective,
+    interval: Interval,
+    tol: Tolerance,
+    cfg: RatioConfig | None = None,
+    *,
+    use_recognizers: bool = True,
+    bracket_log: list[tuple[float, float]] | None = None,
+    step_log: list[BrentStep] | None = None,
+) -> MinimizeOutcome:
+    """Brent minimization with ratio-section fallbacks and recognizers.
+
+    Identical to :func:`brent_minimize` except that (i) the fallback step
+    is ``d = c*e`` (default ``c = 0.2``), (ii) a
+    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
+    bottom after every evaluation, and (iii) runs the monotone recognizer
+    once when the run first holds four distinct abscissas.  Pass
+    ``use_recognizers=False`` to strip (ii) and (iii).
+
+    The recognizer runs in its ``spaced`` flavour: the flat-bottom rule
+    counts only abscissas more than ``2*e0`` apart
+    (:func:`~ratiosect.classify.separated_count`), because this loop's
+    ``tol1`` steps put probes ``e0`` apart, and near a very flat bottom
+    three of them can share the ordinate of one wall step.
+    """
+    c = 0.2 if cfg is None else cfg.c
+    recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
+    return _brent(obj, interval, tol, c, "ratio", recognizer, bracket_log, step_log)

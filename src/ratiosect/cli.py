@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .benchsuite import (
     METHOD_NAMES,
@@ -114,14 +114,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -136,14 +128,35 @@ def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str
     return text
 
 
-def _json_lines(records: Sequence[dict[str, object]]) -> str:
-    def clean(value: object) -> object:
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        return value
-    return "".join(
-        json.dumps({k: clean(v) for k, v in rec.items()}) + "\n" for rec in records
-    )
+#: An output column: record key (the csv and json-lines name), markdown
+#: header, and markdown cell formatter.
+_Column = tuple[str, str, Callable[[object], str]]
+
+
+def _render(fmt: str, columns: Sequence[_Column],
+            records: Sequence[dict[str, object]]) -> str:
+    """Format records as csv (floats through :func:`_fmt`, ``None``
+    empty), a markdown table, or json-lines (non-finite floats ``null``)."""
+    keys = [key for key, _, _ in columns]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows(
+            [_fmt(v) if isinstance(v, float) else "" if v is None else v
+             for v in map(rec.__getitem__, keys)]
+            for rec in records
+        )
+        return buf.getvalue()
+    if fmt == "markdown":
+        return _markdown_table(
+            [header for _, header, _ in columns],
+            [[cell(rec[key]) for key, _, cell in columns] for rec in records],
+        )
+    return "".join(json.dumps({
+        key: None if isinstance(v, float) and not math.isfinite(v) else v
+        for key, v in zip(keys, map(rec.__getitem__, keys))
+    }) + "\n" for rec in records)
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
@@ -164,52 +177,17 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         print(f"evaluation error at x = {exc.x!r}: {exc}", file=sys.stderr)
         return 1
 
-    fields = {
+    columns: list[_Column] = [("x_min", "x_min", _fmt), ("f_min", "f_min", _fmt)]
+    columns += [(k, k, str) for k in ("evaluations", "classification", "status")]
+    record = {
         "x_min": outcome.x_min,
         "f_min": outcome.f_min,
         "evaluations": outcome.evaluations,
         "classification": outcome.classification.value,
         "status": outcome.status.value,
     }
-    if args.format == "csv":
-        text = _csv_text(
-            list(fields),
-            [[_fmt(outcome.x_min), _fmt(outcome.f_min), outcome.evaluations,
-              outcome.classification.value, outcome.status.value]],
-        )
-    elif args.format == "markdown":
-        text = _markdown_table(
-            list(fields),
-            [[_fmt(outcome.x_min), _fmt(outcome.f_min), str(outcome.evaluations),
-              outcome.classification.value, outcome.status.value]],
-        )
-    else:
-        text = _json_lines([fields])
-    _emit(text, args.out)
+    _emit(_render(args.format, columns, [record]), args.out)
     return 0 if outcome.converged else 2
-
-
-def _bench_csv(report: BenchReport, specs: list[MethodSpec], compare: bool) -> str:
-    refs = {s.label: s.reference_key for s in specs}
-    header = ["method", "function_id", "evaluations", "x_min", "f_min",
-              "classification", "status"]
-    if compare:
-        header += ["reference", "delta"]
-    rows: list[list[object]] = []
-    for row in report.rows:
-        record: list[object] = [
-            row.method, row.fid, row.evaluations, _fmt(row.x_min),
-            _fmt(row.f_min), row.classification, row.status,
-        ]
-        if compare:
-            key = refs.get(row.method)
-            if key is None:
-                record += ["", ""]
-            else:
-                ref = benchmark_function(row.fid).reference_counts[key]
-                record += [ref, row.evaluations - ref]
-        rows.append(record)
-    return _csv_text(header, rows)
 
 
 def _bench_markdown(report: BenchReport, specs: list[MethodSpec], compare: bool) -> str:
@@ -263,30 +241,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if all(row.status == "failed" for row in report.rows):
         print("error: every benchmark cell failed", file=sys.stderr)
         return 2
+    if args.format == "markdown":
+        _emit(_bench_markdown(report, specs, args.compare_paper), args.out)
+        return 0
 
-    if args.format == "csv":
-        text = _bench_csv(report, specs, args.compare_paper)
-    elif args.format == "markdown":
-        text = _bench_markdown(report, specs, args.compare_paper)
-    else:
-        refs = {s.label: s.reference_key for s in specs}
-        records: list[dict[str, object]] = []
-        for row in report.rows:
-            rec: dict[str, object] = {
-                "method": row.method, "function_id": row.fid,
-                "evaluations": row.evaluations, "x_min": row.x_min,
-                "f_min": row.f_min, "classification": row.classification,
-                "status": row.status,
-            }
-            if args.compare_paper:
-                key = refs.get(row.method)
-                ref = (None if key is None
-                       else benchmark_function(row.fid).reference_counts[key])
-                rec["reference"] = ref
-                rec["delta"] = None if ref is None else row.evaluations - ref
-            records.append(rec)
-        text = _json_lines(records)
-    _emit(text, args.out)
+    keys = ["method", "function_id", "evaluations", "x_min", "f_min",
+            "classification", "status"]
+    if args.compare_paper:
+        keys += ["reference", "delta"]
+    refs = {s.label: s.reference_key for s in specs}
+    records: list[dict[str, object]] = []
+    for row in report.rows:
+        key = refs.get(row.method)
+        ref = None if key is None else benchmark_function(row.fid).reference_counts[key]
+        records.append({
+            "method": row.method, "function_id": row.fid,
+            "evaluations": row.evaluations, "x_min": row.x_min,
+            "f_min": row.f_min, "classification": row.classification,
+            "status": row.status, "reference": ref,
+            "delta": None if ref is None else row.evaluations - ref,
+        })
+    _emit(_render(args.format, [(k, k, str) for k in keys], records), args.out)
     return 0
 
 
@@ -302,22 +277,12 @@ def _cmd_sweep_c(args: argparse.Namespace) -> int:
     samples, poly = sweep_ratio_c(
         ids, args.c_from, args.c_to, args.c_step, tol, args.fit_degree
     )
-    if args.format == "csv":
-        text = _csv_text(
-            ["c", "mean_evaluations", "smoothed_value"],
-            [[_fmt(c), _fmt(k), _fmt(poly(c))] for c, k in samples],
-        )
-    elif args.format == "markdown":
-        text = _markdown_table(
-            ["c", "mean k", "smoothed"],
-            [[f"{c:.2f}", f"{k:.2f}", f"{poly(c):.2f}"] for c, k in samples],
-        )
-    else:
-        text = _json_lines([
-            {"c": c, "mean_evaluations": k, "smoothed_value": poly(c)}
-            for c, k in samples
-        ])
-    _emit(text, args.out)
+    two_places = "{:.2f}".format
+    columns = [("c", "c", two_places), ("mean_evaluations", "mean k", two_places),
+               ("smoothed_value", "smoothed", two_places)]
+    records = [{"c": c, "mean_evaluations": k, "smoothed_value": poly(c)}
+               for c, k in samples]
+    _emit(_render(args.format, columns, records), args.out)
     return 0
 
 
@@ -327,21 +292,10 @@ def _cmd_sweep_j(args: argparse.Namespace) -> int:
     if not -15 <= args.j_from <= args.j_to <= -2:
         raise _UsageError("need -15 <= --from <= --to <= -2")
     rows = sweep_ratio_a_exponent(ids, args.j_from, args.j_to, tol)
-    if args.format == "csv":
-        text = _csv_text(
-            ["j", "c", "total_evaluations"],
-            [[j, _fmt(c), total] for j, c, total in rows],
-        )
-    elif args.format == "markdown":
-        text = _markdown_table(
-            ["j", "c", "Sum k"],
-            [[str(j), f"{c:g}", str(total)] for j, c, total in rows],
-        )
-    else:
-        text = _json_lines([
-            {"j": j, "c": c, "total_evaluations": total} for j, c, total in rows
-        ])
-    _emit(text, args.out)
+    columns = [("j", "j", str), ("c", "c", "{:g}".format),
+               ("total_evaluations", "Sum k", str)]
+    records = [{"j": j, "c": c, "total_evaluations": total} for j, c, total in rows]
+    _emit(_render(args.format, columns, records), args.out)
     return 0
 
 

@@ -94,7 +94,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return halfway(self.lo, self.hi)
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -123,6 +123,13 @@ class Tolerance:
             raise ValueError("max_evaluations must be a positive integer")
 
 
+def halfway(a: float, b: float) -> float:
+    """``(a + b)/2`` for finite ``a`` and ``b``, finite even when ``a + b``
+    overflows: then it is ``a/2 + b/2`` instead."""
+    m = 0.5 * (a + b)
+    return m if _isfinite(m) else 0.5 * a + 0.5 * b
+
+
 def e0(tol: Tolerance, x: float) -> float:
     """Position-dependent tolerance ``epsilon*|x| + floor``.
 
@@ -138,7 +145,8 @@ def stop_test(a: float, b: float, m_x: float, tol: Tolerance) -> bool:
     ``|m_x - (a+b)/2| + (b-a)/2 <= 2*e0(m_x)``: the left side is the
     distance from ``m_x`` to the farther endpoint.
     """
-    return abs(m_x - 0.5 * (a + b)) + 0.5 * (b - a) <= 2.0 * e0(tol, m_x)
+    return abs(m_x - halfway(a, b)) + 0.5 * (b - a) <= 2.0 * (
+        tol.epsilon * abs(m_x) + tol.floor)
 
 
 class CountingObjective:

@@ -11,6 +11,7 @@ from ratiosect.active_search import (
     parabola_vertex,
 )
 from ratiosect.benchsuite import benchmark_function
+from ratiosect.brent import brent_m_minimize, brent_minimize
 from ratiosect.core import (
     CountingObjective,
     EvaluationError,
@@ -21,7 +22,12 @@ from ratiosect.core import (
     e0,
 )
 from ratiosect.expressions import parse_expression
-from ratiosect.section_search import RatioConfig
+from ratiosect.section_search import (
+    RatioConfig,
+    minimize_bisection,
+    minimize_golden,
+    minimize_ratio_p,
+)
 
 TOL = Tolerance()
 
@@ -205,7 +211,7 @@ _OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
 
 # Each draw mixes the whole valid range with a typical one, so that many
 # runs reach the parabolic phase instead of stopping at once.
-@given(
+_ANY_CONFIGURATION = given(
     c=_OPEN_UNIT,
     ends=st.tuples(st.one_of(_HUGE, st.floats(-100.0, 100.0)),
                    st.one_of(_HUGE, st.floats(-100.0, 100.0)),
@@ -219,27 +225,67 @@ _OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
     where=st.floats(0.0, 1.0),
     power=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
 )
-def test_ratio_a_any_configuration_keeps_the_triple_invariant(
-        c, ends, epsilon, floor, budget, a, where, power):
-    # Phase 2 no longer validates its triple on every step; this guards
-    # the invariant instead.  On any valid input the run raises nothing
-    # but EvaluationError, returns a point of the interval, and nests
-    # every logged bracket inside the one before it.
+
+
+def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
+                             where, power):
+    """Run ``solve`` on one draw: it raises nothing but EvaluationError,
+    returns a point of the interval, and nests each logged bracket inside
+    the one before it.  Returns the bracket log."""
     lo, hi = min(ends), max(ends)
     v = lo * (1.0 - where) + hi * where
     interval = Interval(lo, hi)
     tol = Tolerance(epsilon, floor, budget)
     log: list[tuple[float, float]] = []
     try:
-        out = minimize_ratio_a(
+        out = solve(
             CountingObjective(lambda x: a * abs(x - v) ** power), interval,
-            tol, RatioConfig(c), bracket_log=log)
+            tol, RatioConfig(c), log)
     except EvaluationError:
         out = None
     if out is not None:
         assert out.x_min in interval
     for (lo0, hi0), (lo1, hi1) in zip(log, log[1:]):
-        assert lo0 <= lo1 < hi1 <= hi0
+        assert lo0 <= lo1 <= hi1 <= hi0
+    return log
+
+
+@_ANY_CONFIGURATION
+def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
+    # Phase 2 no longer validates its triple on every step; this guards
+    # the invariant instead.  On any valid input the run raises nothing
+    # but EvaluationError, returns a point of the interval, and nests
+    # every logged bracket inside the one before it.
+    # ratio-a's brackets also never close to a point.
+    log = _check_any_configuration(
+        lambda obj, interval, tol, cfg, log: minimize_ratio_a(
+            obj, interval, tol, cfg, bracket_log=log),
+        **draw)
+    for lo, hi in log:
+        assert lo < hi
+
+
+_OTHER_SOLVERS = {
+    "bisect": lambda obj, interval, tol, cfg, log: minimize_bisection(
+        obj, interval, tol, bracket_log=log),
+    "golden": lambda obj, interval, tol, cfg, log: minimize_golden(
+        obj, interval, tol, bracket_log=log),
+    "ratio-p": lambda obj, interval, tol, cfg, log: minimize_ratio_p(
+        obj, interval, tol, cfg, bracket_log=log),
+    "brent": lambda obj, interval, tol, cfg, log: brent_minimize(
+        obj, interval, tol, bracket_log=log),
+    "brent-m": lambda obj, interval, tol, cfg, log: brent_m_minimize(
+        obj, interval, tol, cfg, bracket_log=log),
+}
+
+
+@pytest.mark.parametrize("solver", _OTHER_SOLVERS)
+@_ANY_CONFIGURATION
+def test_any_solver_any_configuration_stays_in_the_interval(solver, **draw):
+    # The same draws and checks for the other five solvers.  A bracket
+    # may close to a single point here: with a tolerance below one ulp,
+    # golden section cuts until both ends meet at the minimizer.
+    _check_any_configuration(_OTHER_SOLVERS[solver], **draw)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -48,6 +48,19 @@ def test_start_on_interval_wider_than_max_float(solve):
         assert out.evaluations == TOL.max_evaluations
 
 
+def test_ratio_step_that_underflows_keeps_its_side():
+    # c*e underflows to +0.0 on the second step.  The tol1 rule used to
+    # read that as a step to the left: the probe landed at 0.36, left of
+    # the bracket [0.38, 1], and widened it again.
+    log: list[tuple[float, float]] = []
+    obj = CountingObjective(lambda x: abs(x - 1.0))
+    brent_m_minimize(obj, Interval(0.0, 1.0), Tolerance(0.125, 0.125, 3),
+                     RatioConfig(5e-324), bracket_log=log)
+    assert obj.transcript[2].x > obj.transcript[1].x
+    for (lo0, hi0), (lo1, hi1) in zip(log, log[1:]):
+        assert lo0 <= lo1 < hi1 <= hi0
+
+
 def test_brent_quadratic():
     obj = CountingObjective(lambda x: 3.0 * (x - 0.3) ** 2 + 0.5)
     out = brent_minimize(obj, Interval(0.0, 1.0), TOL)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ratiosect.benchsuite import MethodSpec, solve_one
 from ratiosect.core import (
     CountingObjective,
     EvaluationError,
@@ -14,6 +15,7 @@ from ratiosect.core import (
     FunctionClass,
     Tolerance,
     e0,
+    halfway,
     stop_test,
 )
 
@@ -58,6 +60,9 @@ class TestInterval:
         assert 0.0 in iv and 1.0 in iv and 0.5 in iv
         assert -0.1 not in iv and 1.1 not in iv
 
+    def test_midpoint_of_interval_whose_sum_overflows(self):
+        assert Interval(0.9e308, 1e308).midpoint == 0.95e308
+
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
     def test_rejects_degenerate(self, lo, hi):
         with pytest.raises(ValueError):
@@ -94,6 +99,41 @@ def test_e0_value(x):
     assert e0(tol, x) == 1e-3 * abs(x) + 1e-8
 
 
+@given(a=finite, b=finite)
+def test_halfway(a, b):
+    m = halfway(a, b)
+    assert min(a, b) <= m <= max(a, b)
+    if math.isfinite(a + b):
+        assert m == 0.5 * (a + b)
+
+
+_METHODS = ["bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_solvers_near_max_float_converge(method):
+    # a + b overflows on this interval.  Every midpoint used to be inf:
+    # bisection and the ratio solvers raised before their first
+    # evaluation, and golden and Brent never passed the stop test.
+    interval = Interval(0.9e308, 1e308)
+    out = solve_one(MethodSpec(method), CountingObjective(
+        lambda x: abs(x - 0.95e308) / 1e300), interval, Tolerance())
+    assert out.converged
+    assert out.x_min in interval
+    assert abs(out.x_min - 0.95e308) <= 2.0 * e0(Tolerance(), 0.95e308)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_solvers_stay_inside_interval_whose_sum_overflows(method):
+    # Brent's infinite midpoint sent every tol1 step right, past b: both
+    # Brent solvers returned x_min = 9.9586e307.
+    interval = Interval(0.0, 9.695761978498586e307)
+    out = solve_one(MethodSpec(method), CountingObjective(
+        lambda x: abs(x) ** 1.2559412121548827e-28), interval,
+        Tolerance(0.0625, 1.0, 7))
+    assert out.x_min in interval
+
+
 class TestStopTest:
     def test_triggers_on_tight_bracket(self):
         tol = Tolerance()
@@ -105,6 +145,12 @@ class TestStopTest:
     def test_rejects_wide_bracket(self):
         tol = Tolerance()
         assert not stop_test(0.0, 1.0, 0.5, tol)
+
+    def test_triggers_on_tight_bracket_whose_sum_overflows(self):
+        tol = Tolerance()
+        m = 1.7e308
+        h = e0(tol, m)
+        assert stop_test(m - h, m + h, m, tol)
 
     @given(m=st.floats(min_value=-100, max_value=100),
            off=st.floats(min_value=0, max_value=1),
