@@ -37,7 +37,9 @@ import shlex
 import sys
 from collections.abc import Iterator
 
-from ratiosect import CountingObjective, MethodSpec, Tolerance, benchsuite, cli
+from ratiosect import (
+    CountingObjective, MethodSpec, Tolerance, benchsuite, cli, parse_expression,
+)
 
 CONFIGS = [
     MethodSpec("bisect"),
@@ -125,9 +127,13 @@ def compute() -> list[tuple[str, str, str]]:
     return rows
 
 
-def compute_random() -> list[tuple[str, str]]:
+def compute_random(as_text: bool = False) -> list[tuple[str, str]]:
     """``(solver, sha256)`` rows, one per solver of the random harness, in
-    its order; each digest covers all targets in draw order."""
+    its order; each digest covers all targets in draw order.
+
+    With ``as_text``, each target is rendered in the expression language
+    as the random-expr benchmark renders it, and the solvers minimize what
+    ``parse_expression`` makes of that text."""
     spec = importlib.util.spec_from_file_location(
         "random_harness", SCRIPTS_DIR / "random_harness.py")
     harness = importlib.util.module_from_spec(spec)
@@ -139,6 +145,9 @@ def compute_random() -> list[tuple[str, str]]:
     for name, run in harness.SOLVERS:
         h = hashlib.sha256()
         for f, _, interval, _ in targets:
+            if as_text:
+                a, p, k, v = f.__defaults__
+                f = parse_expression(f"{a!r}*abs(x - {v!r})^{p!r} + {k!r}")
             obj = CountingObjective(f)
             log: list[tuple[float, float]] = []
             out = run(obj, interval, tol, log)

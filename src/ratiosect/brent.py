@@ -138,8 +138,13 @@ def _brent(
         else:
             kind = fallback_kind
             e = (b - x) if x < m else (a - x)
-            # A tiny c can underflow c*e to zero; keep the step's side.
-            d = c * e or (tol1 if e > 0.0 else -tol1)
+            if math.isfinite(e):
+                # A tiny c can underflow c*e to zero; keep the step's side.
+                d = c * e or (tol1 if e > 0.0 else -tol1)
+            else:
+                # e overflows: take the step from the half-width, twice.
+                half = c * (0.5 * (b if x < m else a) - 0.5 * x)
+                d = half + half
         # Never evaluate closer than tol1 to x.
         if abs(d) >= tol1:
             u = x + d

@@ -14,30 +14,42 @@ Example::
     >>> f(1.5)
     0.2
 
-Parsing builds the evaluator: each grammar rule returns a closure of
-``x`` (a literal stays a float that its operator uses directly), so a call
-runs no tree walk.  Parse problems raise :class:`ExpressionError` carrying
-the offset of the offending token; evaluation at a finite ``x`` either
-returns a finite float or raises a domain/arithmetic error (``sqrt(-1)``,
-division by zero, overflow), which the solvers' objective wrapper turns
-into an evaluation failure.  Parsing computes nothing, so such an error is
-raised by the call, never by :func:`parse_expression`.
+Parsing compiles the evaluator: the parser emits the Python source
+``lambda x: <expr>`` with only the parentheses the grammar needs (Python
+binds ``+ - * /`` and unary minus as the grammar does; ``^`` becomes a
+call to ``pow``), and :func:`parse_expression` compiles it once, so a call
+runs one Python function.  Only tokens the grammar accepted reach
+``compile``: ``x``, the operators, parentheses, commas, the names of the
+function table, and one name ``_<n>`` bound to each literal (a literal
+such as ``1e999`` is ``inf``, which has no source form).  The code runs in
+a namespace holding only the table's functions and the literals.  ``pow``
+is the table's ``_power``, so a fractional power of a negative base raises
+``ValueError`` rather than going complex.
+
+Parse problems raise :class:`ExpressionError` carrying the offset of the
+offending token; so does a text nested too deeply to parse or compile.
+Evaluation at a finite ``x`` either returns a finite float or raises a
+domain/arithmetic error (``sqrt(-1)``, division by zero, overflow), which
+the solvers' objective wrapper turns into an evaluation failure.  Parsing
+computes nothing, so such an error is raised by the call, never by
+:func:`parse_expression`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from typing import Callable, Union
 
+# One token per match, after any whitespace: a number, a name, an operator,
+# or any other character (an error).
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>[-+*/^(),])
-    """,
+    r"""\s*(?:
+      ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | ([A-Za-z_][A-Za-z0-9_]*)
+    | ([-+*/^(),])
+    | (\S)
+    )""",
     re.VERBOSE,
 )
 
@@ -67,6 +79,8 @@ _FUNCTIONS: dict[str, tuple[int, int | None, Callable[..., float]]] = {
     "max": (2, None, max),
     "min": (2, None, min),
 }
+# What compiled code sees: the table's functions, and no builtins.
+_NAMESPACE = {"__builtins__": {}, **{name: impl for name, (*_, impl) in _FUNCTIONS.items()}}
 
 
 class ExpressionError(ValueError):
@@ -78,32 +92,11 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-# A parsed subexpression: a literal (kept as a float so that the operators
-# above it can use it directly) or a closure of ``x``.
-_Node = Union[float, Callable[[float], float]]
-
-_BINARY: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add, "-": operator.sub,
-    "*": operator.mul, "/": operator.truediv,
-}
-
-
-def _closure(node: _Node) -> Callable[[float], float]:
-    if isinstance(node, float):
-        return lambda x: node
-    return node
-
-
-def _apply(op: Callable[[float, float], float], left: _Node, right: _Node) -> _Node:
-    """``x -> op(left(x), right(x))``, with a literal operand passed as is.
-    Nothing is computed here: a domain error raises when the result is called."""
-    if isinstance(left, float):
-        if isinstance(right, float):
-            return lambda x: op(left, right)
-        return lambda x: op(left, right(x))
-    if isinstance(right, float):
-        return lambda x: op(left(x), right)
-    return lambda x: op(left(x), right(x))
+# A parsed subexpression: a literal (a float, folded under unary minus) or
+# ``(source, level)``, its Python source and how tightly that binds.
+_Node = Union[float, tuple[str, int]]
+_SUM, _TERM, _NEG, _ATOM = 1, 2, 3, 4
+_BINARY = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM}
 
 
 class Expression:
@@ -120,124 +113,118 @@ class Expression:
         return f"Expression({self.source!r})"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
+    """Recursive descent over the tokens, held as columns: entry ``i`` of
+    ``numbers``, ``names`` and ``ops`` is token ``i``'s text in the one
+    column its kind fills, and ``""`` in the others; the last token, all
+    ``""``, is the end of input."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        tokens = _TOKEN_RE.findall(text)
+        tokens.append(("", "", "", ""))
+        self.numbers, self.names, self.ops, others = zip(*tokens)
         self.index = 0
+        self.namespace = dict(_NAMESPACE)
+        if any(others):
+            index = next(i for i, other in enumerate(others) if other)
+            raise self.error(f"unexpected character {others[index]!r}", index)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
+    def error(self, message: str, index: int) -> ExpressionError:
+        # Offsets are only needed here, so only found here.
+        starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.text)]
+        return ExpressionError(message, starts[index] if index < len(starts) else len(self.text))
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def match_op(self, *ops: str) -> str | None:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ops:
-            self.advance()
-            return value
-        return None
+    def found(self, i: int) -> str:
+        return repr(self.numbers[i] or self.names[i] or self.ops[i] or "end of input")
 
     def expect_op(self, op: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r}, found {value or 'end of input'!r}", pos)
-        self.advance()
+        if self.ops[self.index] != op:
+            raise self.error(f"expected {op!r}, found {self.found(self.index)}", self.index)
+        self.index += 1
 
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> _Node:
-        node = self.term()
-        while (op := self.match_op("+", "-")) is not None:
-            node = _apply(_BINARY[op], node, self.term())
-        return node
+    def source(self, node: _Node, level: int = _SUM) -> str:
+        """``node`` as source that binds at least as tightly as ``level``;
+        a literal becomes the name it is bound to."""
+        if isinstance(node, float):
+            name = f"_{len(self.namespace)}"
+            self.namespace[name] = node
+            return name
+        text, own = node
+        return text if own >= level else f"({text})"
 
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> _Node:
+    # expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*
+    def expr(self, level: int = _SUM) -> _Node:
+        """The longest run of operators binding at ``level`` or tighter."""
         node = self.factor()
-        while (op := self.match_op("*", "/")) is not None:
-            node = _apply(_BINARY[op], node, self.factor())
+        while (op_level := _BINARY.get(self.ops[self.index], 0)) >= level:
+            op = self.ops[self.index]
+            self.index += 1
+            right = self.expr(op_level + 1)
+            node = f"{self.source(node, op_level)} {op} {self.source(right, op_level + 1)}", op_level
         return node
 
-    # factor := '-' factor | power
+    # factor := '-' factor | atom ('^' factor)?   (^ is right-associative)
     def factor(self) -> _Node:
-        if self.match_op("-"):
+        if self.ops[self.index] == "-":
+            self.index += 1
             inner = self.factor()
             if isinstance(inner, float):
                 return -inner
-            return lambda x: -inner(x)
-        return self.power()
-
-    # power := atom ('^' factor)?   (right-associative)
-    def power(self) -> _Node:
+            return "-" + self.source(inner, _NEG), _NEG
         node = self.atom()
-        if self.match_op("^"):
-            return _apply(_power, node, self.factor())
+        if self.ops[self.index] == "^":
+            self.index += 1
+            return f"pow({self.source(node)}, {self.source(self.factor())})", _ATOM
         return node
 
     def atom(self) -> _Node:
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return float(value)
-        if kind == "ident":
-            if value == "x":
-                return lambda x: x
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.expr()]
-                while self.match_op(","):
-                    args.append(self.expr())
-                self.expect_op(")")
-                low, high, impl = _FUNCTIONS[value]
-                if len(args) < low or (high is not None and len(args) > high):
-                    wanted = str(low) if high == low else f"at least {low}"
-                    raise ExpressionError(
-                        f"{value}() takes {wanted} argument(s), got {len(args)}", pos
-                    )
-                if high == 2:
-                    return _apply(impl, *args)
-                fns = [_closure(arg) for arg in args]
-                if high == 1:
-                    (arg,) = fns
-                    return lambda x: impl(arg(x))
-                return lambda x: impl([fn(x) for fn in fns])
-            raise ExpressionError(f"unknown identifier {value!r}", pos)
-        if kind == "op" and value == "(":
+        i = self.index
+        self.index += 1
+        name = self.names[i]
+        if self.numbers[i]:
+            return float(self.numbers[i])
+        if name == "x":
+            return "x", _ATOM
+        if name in _FUNCTIONS:
+            self.expect_op("(")
+            args = [self.source(self.expr())]
+            while self.ops[self.index] == ",":
+                self.index += 1
+                args.append(self.source(self.expr()))
+            self.expect_op(")")
+            low, high, _ = _FUNCTIONS[name]
+            if len(args) < low or (high is not None and len(args) > high):
+                wanted = str(low) if high == low else f"at least {low}"
+                raise self.error(f"{name}() takes {wanted} argument(s), got {len(args)}", i)
+            return f"{name}({', '.join(args)})", _ATOM
+        if name:
+            raise self.error(f"unknown identifier {name!r}", i)
+        if self.ops[i] == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExpressionError(
-            f"expected a number, 'x', a function call or '(', found "
-            f"{value or 'end of input'!r}",
-            pos,
-        )
+        raise self.error(
+            f"expected a number, 'x', a function call or '(', found {self.found(i)}", i)
 
 
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an :class:`Expression`.
 
     Raises :class:`ExpressionError` (with offset) on malformed input,
-    unknown identifiers, or wrong call arity.
+    unknown identifiers, wrong call arity, or nesting too deep to parse
+    (offset of the last token read) or to compile (offset 0).
     """
     parser = _Parser(text)
-    node = parser.expr()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ExpressionError(f"unexpected trailing input {value!r}", pos)
-    return Expression(text, _closure(node))
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise parser.error("expression nested too deeply", parser.index - 1) from None
+    if parser.index < len(parser.ops) - 1:
+        raise parser.error(f"unexpected trailing input {parser.found(parser.index)}", parser.index)
+    source = "lambda x: " + parser.source(node)
+    try:
+        fn = eval(compile(source, "<expression>", "eval"), parser.namespace)
+    except (SyntaxError, RecursionError):
+        raise ExpressionError("expression nested too deeply to compile", 0) from None
+    return Expression(text, fn)

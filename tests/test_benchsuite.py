@@ -284,15 +284,25 @@ def test_sweep_c_counts_regression():
     ]
 
 
+def _freeze_script():
+    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
+    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def _frozen_random_digests() -> list[tuple[str, ...]]:
+    with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
+        return [tuple(row) for row in csv.reader(fh)][1:]
+
+
 def test_transcript_digests_regression():
     # Every probe of every suite cell and of the c sweep, frozen as SHA-256
     # digests of the probes' .hex() (scripts/freeze_transcripts.py writes
     # the file): a probe that moves by one ulp fails here even when the
     # counts above stay the same.
-    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
-    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _freeze_script()
     with open(DATA_DIR / "transcript_digests.csv", newline="") as fh:
         frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert len(frozen) == 7 * 20 + 1
@@ -304,15 +314,19 @@ def test_random_transcript_digests_regression():
     # bracket_log entry and outcome (scripts/freeze_transcripts.py writes
     # the file).  The suite gives ratio-a 215 evaluations in all; these
     # targets give it 13,125, about 11,700 of them in its parabolic phase.
-    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
-    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
-        frozen = [tuple(row) for row in csv.reader(fh)][1:]
+    script = _freeze_script()
+    frozen = _frozen_random_digests()
     assert [name for name, _ in frozen] == [
         "bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
     assert script.compute_random() == frozen
+
+
+def test_random_transcript_digests_hold_for_parsed_text():
+    # The same 300 targets, each rendered as the random-expr benchmark
+    # renders it and parsed by parse_expression: every probe, bracket and
+    # outcome of every solver matches the digest frozen from the Python
+    # closures (the benchmark itself compares only three points a target).
+    assert _freeze_script().compute_random(as_text=True) == _frozen_random_digests()
 
 
 def test_sweep_j_rows():

@@ -48,6 +48,20 @@ def test_start_on_interval_wider_than_max_float(solve):
         assert out.evaluations == TOL.max_evaluations
 
 
+@pytest.mark.parametrize("solve", [brent_minimize, brent_m_minimize])
+@pytest.mark.parametrize("half_width", [1.46e308, 1.5e308, 1.7e308])
+def test_fallback_step_on_interval_wider_than_max_float(solve, half_width):
+    # From the first abscissa, near -0.236*L, the distance b - x to the far
+    # bound overflows; the fallback step is then taken from the half-width
+    # instead of probing at x + inf.
+    interval = Interval(-half_width, half_width)
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    out = solve(obj, interval, TOL)
+    assert out.x_min in interval
+    assert all(p.x in interval for p in obj.transcript)
+    assert out.evaluations == obj.count
+
+
 def test_ratio_step_that_underflows_keeps_its_side():
     # c*e underflows to +0.0 on the second step.  The tol1 rule used to
     # read that as a step to the left: the probe landed at 0.36, left of

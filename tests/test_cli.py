@@ -94,6 +94,21 @@ def test_minimize_expression_error_exit_1(capsys):
     assert "expression error" in err
 
 
+def test_minimize_expression_nested_too_deeply_exit_1():
+    # Too deep for the parser's recursion: an expression error, not a
+    # traceback from the interpreter.
+    expr = "(" * 1000 + "x" + ")" * 1000
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratiosect", "minimize", "--expr", expr,
+         "--a", "0", "--b", "1", "--method", "golden"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("expression error: expression nested too deeply")
+    assert "Traceback" not in proc.stderr
+
+
 def test_minimize_evaluation_error_exit_1(capsys):
     code, _, err = run_cli(
         capsys, "minimize", "--expr", "1/x", "--a", "-1", "--b", "1",

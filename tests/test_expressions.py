@@ -120,6 +120,63 @@ class TestErrors:
             f(0.0)
 
 
+class TestCompiledSource:
+    # Literals are bound by name, never written into the compiled source,
+    # and only the parentheses the grammar needs are emitted.
+    def test_infinite_literal(self):
+        assert ev("min(x, 1e999)", 2.0) == 2.0
+        assert ev("max(x, -1e999)", 2.0) == 2.0
+
+    def test_negative_zero_literal_keeps_its_sign(self):
+        assert math.copysign(1.0, ev("-0.0*x", 2.0)) == -1.0
+
+    def test_long_sum_stays_flat(self):
+        assert ev("x" + "+1" * 900, 0.5) == 900.5
+        assert ev("x" + "-1" * 900, 0.5) == -899.5
+
+    def test_long_chain_of_unary_minus(self):
+        assert ev("-" * 900 + "x", 1.5) == 1.5
+        assert ev("-" * 901 + "x", 1.5) == -1.5
+        assert math.copysign(1.0, ev("-" * 901 + "x", 0.0)) == -1.0
+
+    def test_pow_of_negative_base_raises_at_call(self):
+        f = parse_expression("pow(-2, 0.5)")
+        with pytest.raises(ValueError):
+            f(0.0)
+
+    def test_redundant_parentheses_dropped(self):
+        assert ev("(" * 250 + "x" + ")" * 250, 3.0) == 3.0
+        assert ev("((2)) - ((x - 1))", 1.0) == 2.0
+
+    def test_builtins_out_of_reach(self):
+        with pytest.raises(ExpressionError):
+            parse_expression("__import__(1)")
+        with pytest.raises(ExpressionError):
+            parse_expression("_0 + x")
+
+
+class TestTooDeep:
+    # A text that cannot be built raises ExpressionError, not the
+    # interpreter's RecursionError or SyntaxError.
+    def test_parentheses_too_deep_to_parse(self):
+        text = "(" * 1000 + "x" + ")" * 1000
+        with pytest.raises(ExpressionError, match="nested too deeply") as exc_info:
+            parse_expression(text)
+        assert 0 < exc_info.value.position < 1000
+        assert text[exc_info.value.position] == "("
+
+    def test_power_tower_too_deep_to_compile(self):
+        # Each ^ becomes a call: 300 nested calls exceed the compiler's
+        # limit on nested parentheses.
+        with pytest.raises(ExpressionError, match="too deeply to compile") as exc_info:
+            parse_expression("1^" * 300 + "1")
+        assert exc_info.value.position == 0
+
+    def test_sum_too_long_to_compile(self):
+        with pytest.raises(ExpressionError, match="too deeply to compile"):
+            parse_expression("x" + "+1" * 5_000)
+
+
 def test_repr_shows_source():
     assert "1 + x" in repr(parse_expression("1 + x"))
 
