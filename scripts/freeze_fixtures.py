@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
-"""Regenerate tests/data/transcript_digests.csv,
-tests/data/random_transcript_digests.csv and tests/data/cli_digests.csv.
+"""Regenerate the five frozen fixtures in tests/data.
 
-The first file freezes one SHA-256 per run of the seven reference solver
-configurations over the 20 suite problems (``run_benchmark``, default
-tolerance), plus one over all runs of ``sweep_ratio_c`` on ids 7-20.  A
-digest covers every probe of its run(s) in evaluation order, as the
-``.hex()`` of ``x`` and ``y``.  The counts files only catch a change in
-how many probes a run spends; these digests also catch a probe that moved
-by one ulp.
+The tests compare live runs with these files bit for bit:
 
-The second file freezes one SHA-256 per solver of
-``scripts/random_harness.py`` (each at its default ratio) over 300 targets
-``a*|x - v|^p + k`` drawn by ``draw_target`` from ``random.Random(0)``
-with ``Tolerance(max_evaluations=50_000)``.  Besides every probe it covers
-every ``bracket_log`` entry and the outcome.  Those targets drive ratio-a
-far deeper into its parabolic phase than the suite does.
+* ``measured_counts.csv`` — the evaluation count, classification and
+  status of each of the seven reference solver configurations
+  (``REFERENCE_CONFIGS``) on each of the 20 suite problems
+  (``run_benchmark``, default tolerance).
+* ``sweep_c_counts.csv`` — every ``(c, mean count)`` sample of
+  ``sweep_ratio_c`` over ids 7-20 at its default grid (c = 0.01..0.80,
+  80 samples), as exact float ``repr``.
+* ``transcript_digests.csv`` — one SHA-256 per suite cell above, plus one
+  over all runs of the sweep.  A digest covers every probe of its run(s)
+  in evaluation order, as the ``.hex()`` of ``x`` and ``y``.  The counts
+  only catch a change in how many probes a run spends; these digests also
+  catch a probe that moved by one ulp.
+* ``random_transcript_digests.csv`` — one SHA-256 per solver of
+  ``scripts/random_harness.py`` (each at its default ratio) over 300
+  targets ``a*|x - v|^p + k`` drawn by ``draw_target`` from
+  ``random.Random(0)`` with ``Tolerance(max_evaluations=50_000)``.
+  Besides every probe it covers every ``bracket_log`` entry and the
+  outcome.  Those targets drive ratio-a far deeper into its parabolic
+  phase than the suite does.
+* ``cli_digests.csv`` — the command line's output: one row per invocation
+  in ``CLI_CASES`` (every subcommand in all three formats) with its argv,
+  exit code and the SHA-256 of its stdout.
 
-The third file freezes the command line's output: one row per invocation
-in ``CLI_CASES`` (every subcommand in all three formats) with its argv,
-exit code and the SHA-256 of its stdout.
-
-Run with ``PYTHONPATH=src python scripts/freeze_transcripts.py``.
+Run with ``PYTHONPATH=src python scripts/freeze_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -37,26 +42,15 @@ import shlex
 import sys
 from collections.abc import Iterator
 
-from ratiosect import (
-    CountingObjective, MethodSpec, Tolerance, benchsuite, cli, parse_expression,
-)
+from ratiosect import CountingObjective, Tolerance, benchsuite, cli, parse_expression
+from ratiosect.benchsuite import REFERENCE_CONFIGS
 
-CONFIGS = [
-    MethodSpec("bisect"),
-    MethodSpec("golden"),
-    MethodSpec("ratio-p", 0.5),
-    MethodSpec("ratio-p", 0.2),
-    MethodSpec("ratio-a", 0.001),
-    MethodSpec("brent"),
-    MethodSpec("brent-m", 0.2),
-]
+CONFIGS = list(REFERENCE_CONFIGS.values())
 IDS = range(1, 21)
 SWEEP_IDS = range(7, 21)
 RANDOM_COUNT = 300
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parent
-OUT_PATH = SCRIPTS_DIR.parent / "tests" / "data" / "transcript_digests.csv"
-RANDOM_OUT_PATH = OUT_PATH.with_name("random_transcript_digests.csv")
-CLI_OUT_PATH = OUT_PATH.with_name("cli_digests.csv")
+DATA_DIR = SCRIPTS_DIR.parent / "tests" / "data"
 
 _TARGET = ["--expr", "0.2+abs(x-1.3)^1.5", "--a", "0", "--b", "4"]
 _CLI_BASE = [
@@ -112,6 +106,20 @@ def digest(objectives: list[CountingObjective]) -> str:
     for obj in objectives:
         hash_probes(h, obj)
     return h.hexdigest()
+
+
+def compute_counts() -> list[tuple[str, int, int, str, str]]:
+    """``(config, function id, evaluations, classification, status)`` rows,
+    one per suite cell, in ``run_benchmark`` order."""
+    report = benchsuite.run_benchmark(CONFIGS, IDS)
+    return [(row.method, row.fid, row.evaluations, row.classification, row.status)
+            for row in report.rows]
+
+
+def compute_sweep() -> list[tuple[str, str]]:
+    """``(c, mean count)`` rows of the sweep, as exact float ``repr``."""
+    samples, _ = benchsuite.sweep_ratio_c(SWEEP_IDS)
+    return [(repr(c), repr(mean)) for c, mean in samples]
 
 
 def compute() -> list[tuple[str, str, str]]:
@@ -173,19 +181,24 @@ def compute_cli() -> list[tuple[str, str, str]]:
     return rows
 
 
-def write(path: pathlib.Path, header: list[str], rows: list[tuple[str, ...]]) -> None:
+def write(name: str, header: list[str], rows: list[tuple]) -> None:
+    path = DATA_DIR / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    print(f"wrote {path} ({len(rows)} digests)")
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def main() -> int:
-    write(OUT_PATH, ["config", "function_id", "sha256"], compute())
-    write(RANDOM_OUT_PATH, ["solver", "sha256"], compute_random())
-    write(CLI_OUT_PATH, ["argv", "exit_code", "sha256"], compute_cli())
+    write("measured_counts.csv",
+          ["config", "function_id", "evaluations", "classification", "status"],
+          compute_counts())
+    write("sweep_c_counts.csv", ["c", "mean_evaluations"], compute_sweep())
+    write("transcript_digests.csv", ["config", "function_id", "sha256"], compute())
+    write("random_transcript_digests.csv", ["solver", "sha256"], compute_random())
+    write("cli_digests.csv", ["argv", "exit_code", "sha256"], compute_cli())
     return 0
 
 

@@ -28,8 +28,6 @@ from .benchsuite import (
 )
 from .brent import (
     GOLDEN_STEP,
-    BrentState,
-    BrentStep,
     brent_m_minimize,
     brent_minimize,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "BenchReport",
     "BenchRow",
     "BracketTriple",
-    "BrentState",
-    "BrentStep",
     "CollinearPointsError",
     "CountingObjective",
     "EvaluationError",

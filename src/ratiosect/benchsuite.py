@@ -89,17 +89,6 @@ _EVALUATORS: dict[int, Callable[[float], float]] = {
     20: lambda x: 1.2 + abs(x - 2.0) ** 3.6,
 }
 
-#: Fixture column keys for the reference-count table, in file order.
-COUNT_KEYS = (
-    "bisect",
-    "golden",
-    "ratio_p_c05",
-    "ratio_p_c02",
-    "ratio_a_c001",
-    "brent",
-    "brent_m_c02",
-)
-
 METHOD_NAMES = ("bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m")
 
 _DEFAULT_C = {"ratio-p": 0.2, "ratio-a": 1e-3, "brent-m": 0.2}
@@ -158,23 +147,23 @@ class MethodSpec:
     @property
     def reference_key(self) -> str | None:
         """Fixture count-column key for this configuration, if one exists."""
-        c = self.effective_c
-        match (self.name, c):
-            case ("bisect", None):
-                return "bisect"
-            case ("golden", None):
-                return "golden"
-            case ("ratio-p", 0.5):
-                return "ratio_p_c05"
-            case ("ratio-p", 0.2):
-                return "ratio_p_c02"
-            case ("ratio-a", 0.001):
-                return "ratio_a_c001"
-            case ("brent", None):
-                return "brent"
-            case ("brent-m", 0.2):
-                return "brent_m_c02"
-        return None
+        return _REFERENCE_KEYS.get((self.name, self.effective_c))
+
+
+#: The configurations with published reference counts: fixture
+#: count-column key -> solver selection, in file order.
+REFERENCE_CONFIGS = {
+    "bisect": MethodSpec("bisect"),
+    "golden": MethodSpec("golden"),
+    "ratio_p_c05": MethodSpec("ratio-p", 0.5),
+    "ratio_p_c02": MethodSpec("ratio-p", 0.2),
+    "ratio_a_c001": MethodSpec("ratio-a", 0.001),
+    "brent": MethodSpec("brent"),
+    "brent_m_c02": MethodSpec("brent-m", 0.2),
+}
+COUNT_KEYS = tuple(REFERENCE_CONFIGS)
+_REFERENCE_KEYS = {(spec.name, spec.effective_c): key
+                   for key, spec in REFERENCE_CONFIGS.items()}
 
 
 @dataclass(frozen=True)
@@ -326,6 +315,26 @@ def run_benchmark(
     return BenchReport(rows=tuple(rows), totals=totals, ratios=ratios)
 
 
+def _total(
+    solve: Callable[..., MinimizeOutcome],
+    problems: Sequence[BenchFunction],
+    tol: Tolerance,
+    c: float,
+) -> int | None:
+    """Evaluations ``solve`` spends at ratio ``c`` over all ``problems``, or
+    ``None`` if some objective fails to evaluate.  The sweeps pass the
+    solver they look up when called, not one stored at import, so a solver
+    rebound in this module's namespace (as a profiler does) is the one run."""
+    cfg = RatioConfig(c)
+    try:
+        return sum(
+            solve(CountingObjective(bf.evaluator), bf.interval, tol, cfg).evaluations
+            for bf in problems
+        )
+    except EvaluationError:
+        return None
+
+
 def sweep_ratio_c(
     ids: Sequence[int],
     c_from: float = 0.01,
@@ -350,15 +359,9 @@ def sweep_ratio_c(
         c = c_from + i * step
         if c > c_to + 0.5 * step:
             break
-        try:
-            total = 0
-            for bf in problems:
-                obj = CountingObjective(bf.evaluator)
-                out = minimize_ratio_p(obj, bf.interval, tol, RatioConfig(c))
-                total += out.evaluations
-        except EvaluationError:
-            continue
-        samples.append((c, total / len(problems)))
+        total = _total(minimize_ratio_p, problems, tol, c)
+        if total is not None:
+            samples.append((c, total / len(problems)))
     poly = fit_polynomial([Point2(c, k) for c, k in samples], fit_degree)
     return samples, poly
 
@@ -380,15 +383,9 @@ def sweep_ratio_a_exponent(
     rows: list[tuple[int, float, int]] = []
     for j in range(j_from, j_to + 1):
         c = 10.0 ** (j / 2.0)
-        try:
-            total = 0
-            for bf in problems:
-                obj = CountingObjective(bf.evaluator)
-                out = minimize_ratio_a(obj, bf.interval, tol, RatioConfig(c))
-                total += out.evaluations
-        except EvaluationError:
-            continue
-        rows.append((j, c, total))
+        total = _total(minimize_ratio_a, problems, tol, c)
+        if total is not None:
+            rows.append((j, c, total))
     return rows
 
 

@@ -25,7 +25,6 @@ classical transcripts with scipy's bounded minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .classify import Recognizer
 from .core import (
@@ -33,7 +32,6 @@ from .core import (
     FunctionClass,
     Interval,
     MinimizeOutcome,
-    Point2,
     SolveStatus,
     Tolerance,
     halfway,
@@ -46,42 +44,16 @@ from .section_search import RatioConfig
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class BrentState:
-    """Loop state snapshot: bounds, the three retained points, and the
-    last two step lengths."""
-
-    a: float
-    b: float
-    x: Point2
-    w: Point2
-    v: Point2
-    d: float
-    e: float
-
-
-@dataclass(frozen=True)
-class BrentStep:
-    """One logged iteration: which step kind ran, and the state after its
-    update was applied."""
-
-    kind: str  # "parabolic", "golden", or "ratio"
-    state: BrentState
-
-
 def _brent(
     obj: CountingObjective,
     interval: Interval,
     tol: Tolerance,
     c: float,
-    fallback_kind: str,
     recognizer: Recognizer | None,
     bracket_log: list[tuple[float, float]] | None,
-    step_log: list[BrentStep] | None,
 ) -> MinimizeOutcome:
-    """The Brent loop of both solvers: fallback steps ``d = c*e`` logged
-    as ``fallback_kind``, and the run's outcome as soon as ``recognizer``
-    (if any) recognizes it."""
+    """The Brent loop of both solvers: fallback steps ``d = c*e``, and
+    the run's outcome as soon as ``recognizer`` (if any) recognizes it."""
     a, b = interval.lo, interval.hi
     start = obj.count
     if bracket_log is not None:
@@ -129,14 +101,12 @@ def _brent(
             r = e
             e = d
         if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
-            kind = "parabolic"
             d = p / q
             u = x + d
             # Don't land within t2 of a bound.
             if u - a < t2 or b - u < t2:
                 d = tol1 if x < m else -tol1
         else:
-            kind = fallback_kind
             e = (b - x) if x < m else (a - x)
             if math.isfinite(e):
                 # A tiny c can underflow c*e to zero; keep the step's side.
@@ -147,7 +117,9 @@ def _brent(
                 d = half + half
         # Never evaluate closer than tol1 to x.
         if abs(d) >= tol1:
-            u = x + d
+            # Only the half-width step is infinite (the parabolic branch
+            # bounds its own): 2*half can overflow, x + 2*half cannot.
+            u = x + d if d - d == 0.0 else x + half + half
         else:
             u = x + (tol1 if d > 0.0 else -tol1)
         fu = obj.evaluate(u).y
@@ -174,10 +146,6 @@ def _brent(
                 v, fv = u, fu
         if bracket_log is not None:
             bracket_log.append((a, b))
-        if step_log is not None:
-            step_log.append(BrentStep(kind, BrentState(
-                a, b, Point2(x, fx), Point2(w, fw), Point2(v, fv), d, e,
-            )))
     return MinimizeOutcome(
         x_min=x,
         f_min=fx,
@@ -193,7 +161,6 @@ def brent_minimize(
     tol: Tolerance,
     *,
     bracket_log: list[tuple[float, float]] | None = None,
-    step_log: list[BrentStep] | None = None,
 ) -> MinimizeOutcome:
     """Classical Brent minimization.
 
@@ -204,8 +171,7 @@ def brent_minimize(
     taken.  Every probe is kept at least ``e0(x)`` away from ``x``.  No
     classification is attempted: the verdict is always ``strict_interior``.
     """
-    return _brent(obj, interval, tol, GOLDEN_STEP, "golden", None,
-                  bracket_log, step_log)
+    return _brent(obj, interval, tol, GOLDEN_STEP, None, bracket_log)
 
 
 def brent_m_minimize(
@@ -216,7 +182,6 @@ def brent_m_minimize(
     *,
     use_recognizers: bool = True,
     bracket_log: list[tuple[float, float]] | None = None,
-    step_log: list[BrentStep] | None = None,
 ) -> MinimizeOutcome:
     """Brent minimization with ratio-section fallbacks and recognizers.
 
@@ -235,4 +200,4 @@ def brent_m_minimize(
     """
     c = 0.2 if cfg is None else cfg.c
     recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
-    return _brent(obj, interval, tol, c, "ratio", recognizer, bracket_log, step_log)
+    return _brent(obj, interval, tol, c, recognizer, bracket_log)

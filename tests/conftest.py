@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import pathlib
 
@@ -17,6 +18,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def freeze_script():
+    """``scripts/freeze_fixtures.py``, which writes the files in DATA_DIR,
+    loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "freeze_fixtures", SRC_DIR.parent / "scripts" / "freeze_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
 
 # One line per release-gate criterion, appended by tests/test_acceptance.py
 # in execution order and echoed after the normal test summary.  pytest's

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import math
 from collections import Counter
 
@@ -7,6 +6,7 @@ import pytest
 
 from ratiosect.benchsuite import (
     COUNT_KEYS,
+    REFERENCE_CONFIGS,
     BenchFunction,
     MethodSpec,
     benchmark_function,
@@ -19,18 +19,7 @@ from ratiosect.benchsuite import (
 )
 from ratiosect.core import FunctionClass, Tolerance
 
-from conftest import DATA_DIR
-
-REFERENCE_CONFIGS = [
-    MethodSpec("bisect"),
-    MethodSpec("golden"),
-    MethodSpec("ratio-p", 0.5),
-    MethodSpec("ratio-p", 0.2),
-    MethodSpec("ratio-a", 0.001),
-    MethodSpec("brent"),
-    MethodSpec("brent-m", 0.2),
-]
-
+from conftest import DATA_DIR, freeze_script
 
 def load_measured():
     with open(DATA_DIR / "measured_counts.csv", newline="") as fh:
@@ -193,7 +182,7 @@ def test_measured_counts_regression():
     # Frozen per-cell regression: any solver change that shifts a single
     # evaluation count, classification, or status must show up here.
     measured = load_measured()
-    report = run_benchmark(REFERENCE_CONFIGS, range(1, 21))
+    report = run_benchmark(list(REFERENCE_CONFIGS.values()), range(1, 21))
     assert len(report.rows) == len(measured) == 140
     for row in report.rows:
         want = measured[(row.method, row.fid)]
@@ -272,7 +261,7 @@ def test_sweep_c_validates_range():
 
 def test_sweep_c_counts_regression():
     # Frozen sweep: all 80 (c, mean count) samples over ids 7-20, compared
-    # bit for bit (scripts/freeze_sweep_counts.py writes the file).
+    # bit for bit (scripts/freeze_fixtures.py writes the file).
     with open(DATA_DIR / "sweep_c_counts.csv", newline="") as fh:
         frozen = [(float(row["c"]), float(row["mean_evaluations"]))
                   for row in csv.DictReader(fh)]
@@ -284,14 +273,6 @@ def test_sweep_c_counts_regression():
     ]
 
 
-def _freeze_script():
-    path = DATA_DIR.parent.parent / "scripts" / "freeze_transcripts.py"
-    spec = importlib.util.spec_from_file_location("freeze_transcripts", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _frozen_random_digests() -> list[tuple[str, ...]]:
     with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
         return [tuple(row) for row in csv.reader(fh)][1:]
@@ -299,10 +280,10 @@ def _frozen_random_digests() -> list[tuple[str, ...]]:
 
 def test_transcript_digests_regression():
     # Every probe of every suite cell and of the c sweep, frozen as SHA-256
-    # digests of the probes' .hex() (scripts/freeze_transcripts.py writes
+    # digests of the probes' .hex() (scripts/freeze_fixtures.py writes
     # the file): a probe that moves by one ulp fails here even when the
     # counts above stay the same.
-    script = _freeze_script()
+    script = freeze_script()
     with open(DATA_DIR / "transcript_digests.csv", newline="") as fh:
         frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert len(frozen) == 7 * 20 + 1
@@ -311,10 +292,10 @@ def test_transcript_digests_regression():
 
 def test_random_transcript_digests_regression():
     # One digest per solver over 300 random-harness targets: every probe,
-    # bracket_log entry and outcome (scripts/freeze_transcripts.py writes
+    # bracket_log entry and outcome (scripts/freeze_fixtures.py writes
     # the file).  The suite gives ratio-a 215 evaluations in all; these
     # targets give it 13,125, about 11,700 of them in its parabolic phase.
-    script = _freeze_script()
+    script = freeze_script()
     frozen = _frozen_random_digests()
     assert [name for name, _ in frozen] == [
         "bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
@@ -326,7 +307,20 @@ def test_random_transcript_digests_hold_for_parsed_text():
     # renders it and parsed by parse_expression: every probe, bracket and
     # outcome of every solver matches the digest frozen from the Python
     # closures (the benchmark itself compares only three points a target).
-    assert _freeze_script().compute_random(as_text=True) == _frozen_random_digests()
+    assert freeze_script().compute_random(as_text=True) == _frozen_random_digests()
+
+
+def test_freeze_script_rewrites_every_fixture_unchanged(tmp_path):
+    # The freeze script end to end, writers included: run into an empty
+    # directory, it writes every file of tests/data, each byte for byte.
+    script = freeze_script()
+    script.DATA_DIR = tmp_path
+    assert script.main() == 0
+    names = sorted(path.name for path in DATA_DIR.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
 
 
 def test_sweep_j_rows():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -48,15 +49,23 @@ def test_start_on_interval_wider_than_max_float(solve):
         assert out.evaluations == TOL.max_evaluations
 
 
-@pytest.mark.parametrize("solve", [brent_minimize, brent_m_minimize])
-@pytest.mark.parametrize("half_width", [1.46e308, 1.5e308, 1.7e308])
-def test_fallback_step_on_interval_wider_than_max_float(solve, half_width):
+@pytest.mark.parametrize("solve, c", [
+    (brent_minimize, None),
+    (brent_m_minimize, None),
+    (brent_m_minimize, 0.9),
+    (brent_m_minimize, 0.999),
+], ids=["brent_minimize", "brent_m_minimize", "brent_m_minimize-c0.9",
+        "brent_m_minimize-c0.999"])
+@pytest.mark.parametrize("half_width", [1.46e308, 1.5e308, 1.7e308, sys.float_info.max])
+def test_fallback_step_on_interval_wider_than_max_float(solve, c, half_width):
     # From the first abscissa, near -0.236*L, the distance b - x to the far
     # bound overflows; the fallback step is then taken from the half-width
-    # instead of probing at x + inf.
+    # instead of probing at x + inf.  Above about c = 0.5 the step c*e
+    # itself overflows although the probe x + c*e does not.
     interval = Interval(-half_width, half_width)
     obj = CountingObjective(lambda x: abs(x - 0.3))
-    out = solve(obj, interval, TOL)
+    out = solve(obj, interval, TOL) if c is None else solve(
+        obj, interval, TOL, RatioConfig(c))
     assert out.x_min in interval
     assert all(p.x in interval for p in obj.transcript)
     assert out.evaluations == obj.count
@@ -90,23 +99,21 @@ def test_brent_never_classifies():
     assert out.classification is FunctionClass.STRICT_INTERIOR
 
 
-def test_step_kinds_logged():
-    steps = []
-    obj = CountingObjective(lambda x: (x - 0.3) ** 2 + math.sin(5.0 * x) * 0.01)
-    brent_minimize(obj, Interval(0.0, 1.0), TOL, step_log=steps)
-    kinds = {s.kind for s in steps}
-    assert kinds <= {"parabolic", "golden"}
-    assert "parabolic" in kinds
-
-
-def test_brent_m_step_kinds():
-    steps = []
+def test_brent_second_probe_is_a_golden_step():
+    # No step is remembered yet, so the second probe is the golden
+    # fallback d = g*e into the larger sub-interval [x, 1].
     obj = CountingObjective(lambda x: abs(x - 0.3))
-    brent_m_minimize(obj, Interval(0.0, 1.0), TOL, use_recognizers=False,
-                     step_log=steps)
-    kinds = {s.kind for s in steps}
-    assert kinds <= {"parabolic", "ratio"}
-    assert "ratio" in kinds
+    brent_minimize(obj, Interval(0.0, 1.0), TOL)
+    x = obj.transcript[0].x
+    assert obj.transcript[1].x == x + GOLDEN_STEP * (1.0 - x)
+
+
+def test_brent_m_second_probe_is_a_ratio_step():
+    # The same fallback in brent-m is the ratio step d = c*e.
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    brent_m_minimize(obj, Interval(0.0, 1.0), TOL, use_recognizers=False)
+    x = obj.transcript[0].x
+    assert obj.transcript[1].x == x + 0.2 * (1.0 - x)
 
 
 def test_budget_exhaustion():

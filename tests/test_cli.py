@@ -1,14 +1,14 @@
 import csv
-import importlib.util
 import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from ratiosect.cli import main
+
+from conftest import DATA_DIR, freeze_script
 
 
 def run_cli(capsys, *argv):
@@ -315,15 +315,11 @@ def test_sweep_determinism(capsys):
 
 def test_cli_output_digests_regression():
     # The stdout bytes and exit code of every subcommand in all three
-    # formats, frozen as SHA-256 digests (scripts/freeze_transcripts.py
+    # formats, frozen as SHA-256 digests (scripts/freeze_fixtures.py
     # writes the file).  The schema tests above check fields; this checks
     # every byte.
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "freeze_transcripts", root / "scripts" / "freeze_transcripts.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with open(root / "tests" / "data" / "cli_digests.csv", newline="") as fh:
+    script = freeze_script()
+    with open(DATA_DIR / "cli_digests.csv", newline="") as fh:
         frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert len(frozen) == 48
     assert script.compute_cli() == frozen
