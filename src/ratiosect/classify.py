@@ -181,6 +181,7 @@ class Recognizer:
     def __init__(self, obj: CountingObjective, interval: Interval,
                  tol: Tolerance, *, spaced: bool = False) -> None:
         self.obj = obj
+        self.transcript = obj.transcript
         self.interval = interval
         self.tol = tol
         self.spaced = spaced
@@ -194,18 +195,7 @@ class Recognizer:
     def observe(self) -> MinimizeOutcome | None:
         """Feed the new transcript points; the run's outcome if a
         recognizer fired, else ``None``."""
-        outcome = self._plateau()
-        if outcome is None and not self.monotone_done and len(self.distinct) >= 4:
-            self.monotone_done = True
-            if self.obj.count - self.start + 2 <= self.tol.max_evaluations:
-                verdict = detect_monotone(self.distinct, self.interval, self.obj, self.tol)
-                if verdict is not None:
-                    return self._outcome(verdict.minimizer, verdict.direction)
-                outcome = self._plateau()
-        return outcome
-
-    def _plateau(self) -> MinimizeOutcome | None:
-        transcript = self.obj.transcript
+        transcript = self.transcript
         start, self.fed = self.fed, len(transcript)
         abscissas, distinct, first = self.abscissas, self.distinct, self.first
         found: int | None = None
@@ -231,10 +221,19 @@ class Recognizer:
                 found = rank
             if self.spaced:
                 break
-        if found is None:
+        if found is not None:
+            return self._outcome(distinct[found], FunctionClass.FLAT_BOTTOM)
+        if self.monotone_done or len(distinct) < 4:
             return None
-        return self._outcome(distinct[found], FunctionClass.FLAT_BOTTOM)
+        self.monotone_done = True
+        if self.fed - self.start + 2 > self.tol.max_evaluations:
+            return None
+        verdict = detect_monotone(distinct, self.interval, self.obj, self.tol)
+        if verdict is not None:
+            return self._outcome(verdict.minimizer, verdict.direction)
+        # The two probes join the flat-bottom rule; the monotone check is done.
+        return self.observe()
 
     def _outcome(self, p: Point2, cls: FunctionClass) -> MinimizeOutcome:
-        return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
+        return MinimizeOutcome(p.x, p.y, len(self.transcript) - self.start, cls,
                                SolveStatus.CONVERGED)

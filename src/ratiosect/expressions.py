@@ -14,17 +14,20 @@ Example::
     >>> f(1.5)
     0.2
 
-Parsing compiles the evaluator: the parser emits the Python source
-``lambda x: <expr>`` with only the parentheses the grammar needs (Python
-binds ``+ - * /`` and unary minus as the grammar does; ``^`` becomes a
-call to ``pow``), and :func:`parse_expression` compiles it once, so a call
-runs one Python function.  Only tokens the grammar accepted reach
-``compile``: ``x``, the operators, parentheses, commas, the names of the
-function table, and one name ``_<n>`` bound to each literal (a literal
-such as ``1e999`` is ``inf``, which has no source form).  The code runs in
-a namespace holding only the table's functions and the literals.  ``pow``
-is the table's ``_power``, so a fractional power of a negative base raises
-``ValueError`` rather than going complex.
+Parsing compiles the evaluator once per shape: the parser emits the
+Python source ``lambda x, /, _0, ..., _<n-1>: <expr>`` with only the
+parentheses the grammar needs (Python binds ``+ - * /`` and unary minus as
+the grammar does; ``^`` becomes a call to ``pow``).  Only tokens the
+grammar accepted reach ``compile``: ``x``, the operators, parentheses,
+commas, the names of the function table, and the parameter ``_<i>`` in
+place of the ``i``-th literal (a literal such as ``1e999`` is ``inf``,
+which has no source form).  Texts that differ only in their literals emit
+the same source, so it is compiled once and kept, for the 256 most recent
+shapes; each parse makes a function of that code whose parameter defaults
+are its own literals, and a call runs one Python function.  The code runs
+in one namespace shared by every parse, holding only the table's
+functions.  ``pow`` is the table's ``_power``, so a fractional power of a
+negative base raises ``ValueError`` rather than going complex.
 
 Parse problems raise :class:`ExpressionError` carrying the offset of the
 offending token; so does a text nested too deeply to parse or compile.
@@ -39,6 +42,8 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
+from types import CodeType, FunctionType
 from typing import Callable, Union
 
 # One token per match, after any whitespace: a number, a name, an operator,
@@ -83,6 +88,14 @@ _FUNCTIONS: dict[str, tuple[int, int | None, Callable[..., float]]] = {
 _NAMESPACE = {"__builtins__": {}, **{name: impl for name, (*_, impl) in _FUNCTIONS.items()}}
 
 
+@lru_cache(maxsize=256)
+def _code(source: str) -> CodeType:
+    """The code of the function ``source`` (``lambda x, /, _0, ...: <expr>``),
+    compiled once per shape.  The compiled expression only makes that
+    function, so its code is the expression's one constant."""
+    return compile(source, "<expression>", "eval").co_consts[0]
+
+
 class ExpressionError(ValueError):
     """Syntax, arity, or unknown-name problem; ``position`` is the offset
     into the source text."""
@@ -125,7 +138,8 @@ class _Parser:
         tokens.append(("", "", "", ""))
         self.numbers, self.names, self.ops, others = zip(*tokens)
         self.index = 0
-        self.namespace = dict(_NAMESPACE)
+        self.literals: list[float] = []
+        self.params: list[str] = []
         if any(others):
             index = next(i for i, other in enumerate(others) if other)
             raise self.error(f"unexpected character {others[index]!r}", index)
@@ -145,10 +159,11 @@ class _Parser:
 
     def source(self, node: _Node, level: int = _SUM) -> str:
         """``node`` as source that binds at least as tightly as ``level``;
-        a literal becomes the name it is bound to."""
+        a literal becomes the name ``_<n>`` of its place in ``literals``."""
         if isinstance(node, float):
-            name = f"_{len(self.namespace)}"
-            self.namespace[name] = node
+            name = f"_{len(self.literals)}"
+            self.literals.append(node)
+            self.params.append(name)
             return name
         text, own = node
         return text if own >= level else f"({text})"
@@ -222,9 +237,13 @@ def parse_expression(text: str) -> Expression:
         raise parser.error("expression nested too deeply", parser.index - 1) from None
     if parser.index < len(parser.ops) - 1:
         raise parser.error(f"unexpected trailing input {parser.found(parser.index)}", parser.index)
-    source = "lambda x: " + parser.source(node)
+    body = parser.source(node)  # names a bare literal: before reading params
+    # Positional-only parameters: the form Python's parser tries first, so
+    # the cheapest to compile.
+    params = ", ".join(["x", "/", *parser.params])
+    source = f"lambda {params}: {body}"
     try:
-        fn = eval(compile(source, "<expression>", "eval"), parser.namespace)
+        code = _code(source)
     except (SyntaxError, RecursionError):
         raise ExpressionError("expression nested too deeply to compile", 0) from None
-    return Expression(text, fn)
+    return Expression(text, FunctionType(code, _NAMESPACE, None, tuple(parser.literals)))

@@ -20,14 +20,18 @@ settings.load_profile("suite")
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-def freeze_script():
-    """``scripts/freeze_fixtures.py``, which writes the files in DATA_DIR,
-    loaded as a module."""
+def load_script(name):
+    """``scripts/<name>.py`` loaded as a module."""
     spec = importlib.util.spec_from_file_location(
-        "freeze_fixtures", SRC_DIR.parent / "scripts" / "freeze_fixtures.py")
+        name, SRC_DIR.parent / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def freeze_script():
+    """``scripts/freeze_fixtures.py``, which writes the files in DATA_DIR."""
+    return load_script("freeze_fixtures")
 
 
 # One line per release-gate criterion, appended by tests/test_acceptance.py

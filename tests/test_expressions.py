@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ratiosect.benchsuite import benchmark_suite
 from ratiosect.core import CountingObjective, EvaluationError
-from ratiosect.expressions import ExpressionError, _power, parse_expression
+from ratiosect.expressions import ExpressionError, _code, _power, parse_expression
 
 
 def ev(text, x=0.0):
@@ -175,6 +175,37 @@ class TestTooDeep:
     def test_sum_too_long_to_compile(self):
         with pytest.raises(ExpressionError, match="too deeply to compile"):
             parse_expression("x" + "+1" * 5_000)
+
+
+class TestShapeCache:
+    # Texts that differ only in their literals share one compiled code
+    # object; each parse binds its own literals.
+    def test_same_shape_shares_code_not_literals(self):
+        f, g = parse_expression("2*x + 3"), parse_expression("5*x + 7")
+        assert f._fn.__code__ is g._fn.__code__
+        assert f._fn.__globals__ is g._fn.__globals__
+        assert (f(1.0), g(1.0)) == (5.0, 12.0)
+
+    def test_special_literals_survive_a_hit(self):
+        for _ in range(2):
+            assert ev("min(x, 1e999)", 2.0) == 2.0
+            assert ev("min(x, 1e999)", 1e300) == 1e300
+            assert math.copysign(1.0, ev("-0.0*x", 2.0)) == -1.0
+        assert math.copysign(1.0, ev("0.0*x", 2.0)) == 1.0
+
+    def test_failure_to_compile_is_not_cached(self):
+        for _ in range(3):
+            with pytest.raises(ExpressionError, match="too deeply to compile"):
+                parse_expression("1^" * 300 + "1")
+
+    def test_shapes_beyond_the_bound_still_parse(self):
+        bound = _code.cache_info().maxsize
+        texts = ["x" + " + x" * k + " + 1" for k in range(bound + 20)]
+        for k, text in enumerate(texts):
+            assert ev(text, 2.0) == 2.0 * (k + 1) + 1.0
+        assert _code.cache_info().currsize == bound
+        for k, text in enumerate(texts[:20]):
+            assert ev(text.replace("1", "3"), 2.0) == 2.0 * (k + 1) + 3.0
 
 
 def test_repr_shows_source():
