@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Paired before/after runs of ``bench/run.py`` from two checkouts.
 
-Runs ``--pairs`` alternating parent/change pairs of each workload, with
-the side that runs first alternating from pair to pair, and writes
+Runs ``--pairs`` alternating parent/change pairs of every workload that
+``BENCHMARK.json`` declares, each run ``run_seconds`` long as it sets,
+with the side that runs first alternating from pair to pair.  Writes
 ``BENCH_<n>.json`` at the root of the change checkout: per end-to-end
 metric the medians, inclusive quartiles, the parent's IQR width, how many
 pairs the change won and every run's value, plus each run's correctness,
-failures and per-configuration evaluation totals.  ``--trace-pairs`` adds traced pairs
-(``--trace 1``) with every per-layer metric, and ``--micro`` an
-interleaved timeit of both checkouts' ``parse_expression`` (a miss, with
-every ``functools`` cache of the module cleared first, and a hit) and of
-one call of the parsed expression.
+failures and per-configuration evaluation totals.  ``--trace-pairs`` adds
+that many traced pairs (``--trace 1``, ``TRACE_SECONDS`` long) with every
+per-layer metric.
 
 Example, from the change checkout with the parent unpacked beside it::
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --number 10 --pairs 10 --seconds 10 --trace-pairs 4 --micro
+        --number 10 --pairs 10 --trace-pairs 4
 
 Both checkouts' ``bench/results/`` are overwritten as the runs go.
 """
@@ -23,27 +22,17 @@ Both checkouts' ``bench/results/`` are overwritten as the runs go.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import timeit
 from pathlib import Path
 
-WORKLOADS = ("suite", "sweep-c", "random-expr")
 SIDES = ("parent", "change")
-BETTER = {
-    "setup_s": "lower", "solves_per_s": "higher", "solve_us_p50": "lower",
-    "solve_us_p99": "lower", "us_per_eval": "lower", "evals_per_solve": "lower",
-    "pass_frac": "higher", "rss_peak_mb": "lower",
-}
-MICRO_TEXTS = {
-    "f20": "1.2 + abs(x - 2)^3.6",
-    "random-expr": "0.06812*abs(x - -3.13095)^4.2256 + 0.71621",
-}
+FIRST_SEED = 1
+TRACE_SECONDS = 6.0
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -109,10 +98,12 @@ def run_pairs(trees: dict[str, Path], workloads: list[str], seeds: dict[str, lis
     return runs
 
 
-def workload_summary(pairs: list[dict], seconds: float) -> dict:
+def workload_summary(pairs: list[dict], seconds: float, better: dict[str, str]) -> dict:
+    """One workload's pairs; ``better`` maps each end-to-end metric to
+    ``"higher"`` or ``"lower"``."""
     metrics = {name: summarize([p["parent"]["values"][name] for p in pairs],
-                               [p["change"]["values"][name] for p in pairs], better)
-               for name, better in BETTER.items()}
+                               [p["change"]["values"][name] for p in pairs], way)
+               for name, way in better.items()}
     totals = {p["seed"]: p["parent"]["totals"] for p in pairs}
     out = {
         "seconds_per_run": seconds,
@@ -147,86 +138,24 @@ def trace_summary(pairs: list[dict], seconds: float, workload: str) -> dict:
     }
 
 
-def _load_expressions(tree: Path, side: str):
-    path = tree / "src" / "ratiosect" / "expressions.py"
-    spec = importlib.util.spec_from_file_location(f"expressions_{side}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def micro(trees: dict[str, Path], rounds: int = 21) -> dict:
-    """Interleaved timeit of each side's parse (miss and hit) and of one
-    call, on one CPU; min and median over ``rounds`` per side."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    modules = {side: _load_expressions(tree, side) for side, tree in trees.items()}
-    out: dict = {"how": "interleaved timeit, one pinned CPU, timeit's GC-off default, "
-                        f"{rounds} rounds alternating sides; a miss clears every functools "
-                        "cache of the module before the parse; times per operation"}
-    for label, text in MICRO_TEXTS.items():
-        times: dict[tuple[str, str], list[float]] = {}
-        for r in range(rounds):
-            for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-                module = modules[side]
-                clears = [v.cache_clear for v in vars(module).values()
-                          if hasattr(v, "cache_clear")]
-                parse = module.parse_expression
-                f = parse(text)
-
-                def miss():
-                    for clear in clears:
-                        clear()
-                    parse(text)
-
-                for kind, stmt, number, scale in (("parse_miss_us", miss, 200, 1e6),
-                                                  ("parse_hit_us", lambda: parse(text), 200, 1e6),
-                                                  ("call_ns", lambda: f(0.5), 20_000, 1e9)):
-                    seconds = timeit.timeit(stmt, number=number)
-                    times.setdefault((kind, side), []).append(seconds / number * scale)
-        out[f"{label} text {text!r}"] = {
-            kind: {side: {"min": min(times[kind, side]),
-                          "median": statistics.median(times[kind, side])}
-                   for side in SIDES}
-            for kind in ("parse_miss_us", "parse_hit_us", "call_ns")}
-    return out
-
-
-def src_lines(trees: dict[str, Path]) -> dict:
-    """``wc -l src/ratiosect/*.py`` of each side, with the files that differ."""
-    counts = {side: {p.name: len(p.read_bytes().splitlines())
-                     for p in sorted((tree / "src" / "ratiosect").glob("*.py"))}
-              for side, tree in trees.items()}
-    out: dict = {"command": "wc -l src/ratiosect/*.py",
-                 **{side: sum(c.values()) for side, c in counts.items()}}
-    for name in sorted(counts["parent"].keys() | counts["change"].keys()):
-        before, after = counts["parent"].get(name, 0), counts["change"].get(name, 0)
-        if before != after:
-            out[name] = [before, after]
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--number", type=int, required=True,
                         help="n of the BENCH_<n>.json written in the change checkout")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace-pairs", type=int, default=0)
-    parser.add_argument("--trace-seconds", type=float, default=6.0)
-    parser.add_argument("--micro", action="store_true")
-    parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
+    if args.pairs < 1 or args.trace_pairs < 0:
+        parser.error("--pairs must be positive and --trace-pairs not negative")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
-    if args.pairs < 1 or not set(workloads) <= set(WORKLOADS):
-        parser.error(f"--pairs must be positive and --workloads a subset of {WORKLOADS}")
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
-    seed = args.first_seed
+    seed = FIRST_SEED
     seeds, trace_seeds = {}, {}
     for w in workloads:
         seeds[w] = list(range(seed, seed + args.pairs))
@@ -234,8 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         seed += args.pairs + args.trace_pairs
 
     out: dict = {
-        "what": args.what,
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0, from each checkout; the side that runs first alternates "
                    "by pair (scripts/bench_pairs.py)",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "
@@ -245,17 +173,14 @@ def main(argv: list[str] | None = None) -> int:
                         "ties count for neither side",
         "workloads": {},
     }
-    runs = run_pairs(trees, workloads, seeds, args.seconds, trace=0)
+    runs = run_pairs(trees, workloads, seeds, seconds, trace=0)
     for w in workloads:
-        out["workloads"][w] = workload_summary(runs[w], args.seconds)
+        out["workloads"][w] = workload_summary(runs[w], seconds, better)
     if args.trace_pairs:
-        traced = run_pairs(trees, workloads, trace_seeds, args.trace_seconds, trace=1)
+        traced = run_pairs(trees, workloads, trace_seeds, TRACE_SECONDS, trace=1)
         for w in workloads:
             out["workloads"][w]["per_layer_trace_pairs"] = trace_summary(
-                traced[w], args.trace_seconds, w)
-    if args.micro:
-        out["micro"] = micro(trees)
-    out["src_lines"] = src_lines(trees)
+                traced[w], TRACE_SECONDS, w)
     path = trees["change"] / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

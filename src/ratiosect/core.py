@@ -145,10 +145,8 @@ def stop_test(a: float, b: float, m_x: float, tol: Tolerance) -> bool:
     ``|m_x - (a+b)/2| + (b-a)/2 <= 2*e0(m_x)``: the left side is the
     distance from ``m_x`` to the farther endpoint.
     """
-    m = 0.5 * (a + b)  # halfway(a, b), inline on this per-probe path
-    if not _isfinite(m):
-        m = 0.5 * a + 0.5 * b
-    return abs(m_x - m) + 0.5 * (b - a) <= 2.0 * (tol.epsilon * abs(m_x) + tol.floor)
+    return abs(m_x - halfway(a, b)) + 0.5 * (b - a) <= 2.0 * (
+        tol.epsilon * abs(m_x) + tol.floor)
 
 
 class CountingObjective:

@@ -29,11 +29,6 @@ def load_script(name):
     return script
 
 
-def freeze_script():
-    """``scripts/freeze_fixtures.py``, which writes the files in DATA_DIR."""
-    return load_script("freeze_fixtures")
-
-
 # One line per release-gate criterion, appended by tests/test_acceptance.py
 # in execution order and echoed after the normal test summary.  pytest's
 # default fd-level capture swallows direct writes to sys.__stdout__, so the

@@ -39,8 +39,11 @@ def test_summary_of_one_pair():
     assert summary["change_wins"] == 1
 
 
+BETTER = {"solves_per_s": "higher", "us_per_eval": "lower"}
+
+
 def _run(value, totals, correct=True):
-    values = dict.fromkeys(pairs_script.BETTER, value)
+    values = dict.fromkeys(BETTER, value)
     return {"values": values, "totals": totals, "correct": correct, "failed": 0}
 
 
@@ -50,7 +53,7 @@ def test_workload_summary_folds_equal_totals(same_totals):
               "parent": _run(1.0, {"bisect": 10 if same_totals else seed}),
               "change": _run(2.0, {"bisect": 10 if same_totals else seed})}
              for seed, first in ((7, "parent"), (8, "change"))]
-    out = pairs_script.workload_summary(pairs, 3.0)
+    out = pairs_script.workload_summary(pairs, 3.0, BETTER)
     assert out["seeds"] == [7, 8]
     assert out["first_side_per_pair"] == ["parent", "change"]
     assert out["correct_all_runs"] and out["config_totals_identical_in_every_pair"]

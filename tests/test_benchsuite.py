@@ -19,7 +19,7 @@ from ratiosect.benchsuite import (
 )
 from ratiosect.core import FunctionClass, Tolerance
 
-from conftest import DATA_DIR, freeze_script
+from conftest import DATA_DIR, load_script
 
 def load_measured():
     with open(DATA_DIR / "measured_counts.csv", newline="") as fh:
@@ -283,7 +283,7 @@ def test_transcript_digests_regression():
     # digests of the probes' .hex() (scripts/freeze_fixtures.py writes
     # the file): a probe that moves by one ulp fails here even when the
     # counts above stay the same.
-    script = freeze_script()
+    script = load_script("freeze_fixtures")
     with open(DATA_DIR / "transcript_digests.csv", newline="") as fh:
         frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert len(frozen) == 7 * 20 + 1
@@ -295,7 +295,7 @@ def test_random_transcript_digests_regression():
     # bracket_log entry and outcome (scripts/freeze_fixtures.py writes
     # the file).  The suite gives ratio-a 215 evaluations in all; these
     # targets give it 13,125, about 11,700 of them in its parabolic phase.
-    script = freeze_script()
+    script = load_script("freeze_fixtures")
     frozen = _frozen_random_digests()
     assert [name for name, _ in frozen] == [
         "bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
@@ -307,13 +307,13 @@ def test_random_transcript_digests_hold_for_parsed_text():
     # renders it and parsed by parse_expression: every probe, bracket and
     # outcome of every solver matches the digest frozen from the Python
     # closures (the benchmark itself compares only three points a target).
-    assert freeze_script().compute_random(as_text=True) == _frozen_random_digests()
+    assert load_script("freeze_fixtures").compute_random(as_text=True) == _frozen_random_digests()
 
 
 def test_freeze_script_rewrites_every_fixture_unchanged(tmp_path):
     # The freeze script end to end, writers included: run into an empty
     # directory, it writes every file of tests/data, each byte for byte.
-    script = freeze_script()
+    script = load_script("freeze_fixtures")
     script.DATA_DIR = tmp_path
     assert script.main() == 0
     names = sorted(path.name for path in DATA_DIR.iterdir())

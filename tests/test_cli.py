@@ -8,7 +8,7 @@ import pytest
 
 from ratiosect.cli import main
 
-from conftest import DATA_DIR, freeze_script
+from conftest import DATA_DIR, load_script
 
 
 def run_cli(capsys, *argv):
@@ -318,7 +318,7 @@ def test_cli_output_digests_regression():
     # formats, frozen as SHA-256 digests (scripts/freeze_fixtures.py
     # writes the file).  The schema tests above check fields; this checks
     # every byte.
-    script = freeze_script()
+    script = load_script("freeze_fixtures")
     with open(DATA_DIR / "cli_digests.csv", newline="") as fh:
         frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert len(frozen) == 48
