@@ -58,24 +58,25 @@ def _brent(
     start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
-    # Read once per solve; the loop uses them on every probe.
+    # Read and bound once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
     transcript, limit = obj.transcript, start + tol.max_evaluations
+    evaluate = obj.evaluate
+    observe = None if recognizer is None else recognizer.observe
     if math.isfinite(b - a):
         x = a + GOLDEN_STEP * (b - a)
     else:
         # b - a overflows: take the step from the half-width, twice.
         step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
         x = a + step + step
-    x, fx = obj.evaluate(x)
+    x, fx = point = evaluate(x)
+    if observe is not None and (early := observe(point)) is not None:
+        return early
     w, fw = x, fx
     v, fv = x, fx
     d = 0.0
     e = 0.0
     status = SolveStatus.CONVERGED
-
-    if recognizer is not None and (early := recognizer.observe()) is not None:
-        return early
 
     while True:
         if stop_test(a, b, x, tol):
@@ -122,9 +123,10 @@ def _brent(
             u = x + d if d - d == 0.0 else x + half + half
         else:
             u = x + (tol1 if d > 0.0 else -tol1)
-        fu = obj.evaluate(u).y
-        if recognizer is not None and (early := recognizer.observe()) is not None:
+        point = evaluate(u)
+        if observe is not None and (early := observe(point)) is not None:
             return early
+        fu = point.y
 
         if fu <= fx:
             if u < x:

@@ -15,8 +15,8 @@ cases cheaply:
   kept as the reference the incremental recognizer is tested against.
 * :func:`separated_count` — the stricter spacing the modernized Brent
   variant asks of such a triple: abscissas more than ``2*e0`` apart.
-* :class:`Recognizer` — both rules, fed incrementally from one solver
-  run's transcript at O(1) amortized cost per evaluation.  The passive and
+* :class:`Recognizer` — both rules over one solver run, fed the point
+  each evaluation returns, at O(1) cost per evaluation.  The passive and
   active ratio solvers and the modernized Brent variant all use it.
 """
 
@@ -82,23 +82,26 @@ def detect_monotone(
         raise ValueError("monotone check needs at least four evaluated points")
     # Points are (x, y) tuples, so sorting them orders them by abscissa.
     xs, ys = zip(*sorted(w))
-    for left, right in zip(xs, xs[1:]):
-        if left == right:
-            raise ValueError(f"duplicate abscissa {left!r} in monotone check")
-    for x in xs:
-        if x not in interval:
-            raise ValueError(f"point x={x!r} outside {interval}")
+    # xs is sorted, so a set and its ends settle both checks; loops only report.
+    if len(set(xs)) < len(xs):
+        for left, right in zip(xs, xs[1:]):
+            if left == right:
+                raise ValueError(f"duplicate abscissa {left!r} in monotone check")
+    if not interval.lo <= xs[0] <= xs[-1] <= interval.hi:
+        for x in xs:
+            if x not in interval:
+                raise ValueError(f"point x={x!r} outside {interval}")
 
-    non_decreasing = all(a <= b for a, b in zip(ys, ys[1:]))
-    non_increasing = all(a >= b for a, b in zip(ys, ys[1:]))
-    if non_decreasing:
+    ys = list(ys)
+    ordered = sorted(ys)
+    if ys == ordered:
         # Minimum would sit at the left endpoint; probe it and a point one
         # tolerance step inside.  (All-equal ordinates land here as well:
         # either endpoint is then a valid minimizer.)
         direction = FunctionClass.MONOTONE_INCREASING
         end = interval.lo
         inner = interval.lo + e0(tol, interval.lo)
-    elif non_increasing:
+    elif ys[::-1] == ordered:
         direction = FunctionClass.MONOTONE_DECREASING
         end = interval.hi
         inner = interval.hi - e0(tol, interval.hi)
@@ -106,7 +109,7 @@ def detect_monotone(
         return None
 
     u = obj.evaluate(end)
-    if not u.y <= min(ys):
+    if not u.y <= ordered[0]:
         return None
     v = obj.evaluate(inner)
     if not u.y <= v.y:
@@ -152,88 +155,79 @@ def separated_count(xs: list[float], tol: Tolerance) -> int:
 
 
 class Recognizer:
-    """Flat-bottom and monotone recognition over one solver run, fed
-    incrementally from the run's transcript.
+    """Flat-bottom and monotone recognition over one solver run.
 
-    Create it before the run's first evaluation and call :meth:`observe`
-    after each probe (or pair of probes).  It reads only the points added
-    since its last call and drops a point whose abscissa the run already
-    holds; the points kept, in evaluation order, are :attr:`distinct`.
-    Each ordinate maps to its level: the rank in :attr:`distinct` of the
-    level's first point, and, once a second point joins, the level's
-    abscissas (so a run whose ordinates never repeat allocates no list).
-    Only a level that a new point joins can newly qualify as a plateau, so
-    the plain rule costs O(1) per evaluation.
+    Create it before the run's first evaluation and hand :meth:`observe`
+    each point the run evaluates, the first included.  It drops a point
+    whose abscissa the run already holds; the points kept, in evaluation
+    order, are :attr:`distinct`.  Each ordinate maps to its level: the
+    rank in :attr:`distinct` of the level's first point, and, once a
+    second point joins, the level's abscissas (so a run whose ordinates
+    never repeat allocates no list).  Only the level a new point joins can
+    newly qualify as a plateau, so the plain rule costs O(1) per point.
 
     A level qualifies with three abscissas.  With ``spaced=True`` (the
     modernized Brent flavour) they must also lie pairwise more than
-    ``2*e0`` apart (:func:`separated_count`), and the first new point to
-    complete a level decides.  Otherwise the answer is what
-    :func:`detect_flat_bottom` gives on the run: when one batch completes
-    several levels, the level whose first point is earliest wins.  Either
-    way the outcome's minimizer is that level's first point.
+    ``2*e0`` apart (:func:`separated_count`).  The first point to complete
+    a level decides, and the outcome's minimizer is that level's first
+    point: what :func:`detect_flat_bottom` gives on the points fed so far.
 
-    The monotone check runs once, when the run first holds four distinct
-    abscissas and the budget leaves room for its two probes; those probes
-    are fed to the flat-bottom rule as well.
+    The monotone check runs once, when the fourth distinct abscissa joins
+    and the budget leaves room for its two probes, which are then fed one
+    at a time.  Fed together they would give the same answer, as they
+    never complete two different levels: the second probe ``v`` is
+    evaluated only if the first, ``u``, has ``u.y <= min(ys)``, so a ``u``
+    that completes a level has ``u.y == min(ys)``, and the check then
+    rejects only if ``v.y < u.y``, below every level there is.
     """
 
     def __init__(self, obj: CountingObjective, interval: Interval,
                  tol: Tolerance, *, spaced: bool = False) -> None:
         self.obj = obj
-        self.transcript = obj.transcript
         self.interval = interval
         self.tol = tol
         self.spaced = spaced
-        self.start = self.fed = obj.count
+        self.start = obj.count
         self.distinct: list[Point2] = []
         self.abscissas: set[float] = set()
         self.first: dict[float, int] = {}
         self.level_xs: dict[float, list[float]] = {}
-        self.monotone_done = False
 
-    def observe(self) -> MinimizeOutcome | None:
-        """Feed the new transcript points; the run's outcome if a
-        recognizer fired, else ``None``."""
-        transcript = self.transcript
-        start, self.fed = self.fed, len(transcript)
-        abscissas, distinct, first = self.abscissas, self.distinct, self.first
-        found: int | None = None
-        for i in range(start, self.fed):
-            point = transcript[i]
-            x, y = point
-            if x in abscissas:
-                continue
-            abscissas.add(x)
-            n = len(distinct)
-            distinct.append(point)
-            rank = first.setdefault(y, n)
-            if rank == n:
-                continue
+    def observe(self, point: Point2) -> MinimizeOutcome | None:
+        """Feed the point just evaluated; the run's outcome if a recognizer
+        fired, else ``None``."""
+        x, y = point
+        abscissas = self.abscissas
+        if x in abscissas:
+            return None
+        abscissas.add(x)
+        distinct = self.distinct
+        n = len(distinct)
+        distinct.append(point)
+        rank = self.first.setdefault(y, n)
+        if rank != n:
             xs = self.level_xs.get(y)
             if xs is None:
                 self.level_xs[y] = [distinct[rank].x, x]
-                continue
-            xs.append(x)
-            if self.spaced and separated_count(xs, self.tol) < 3:
-                continue
-            if found is None or rank < found:
-                found = rank
-            if self.spaced:
-                break
-        if found is not None:
-            return self._outcome(distinct[found], FunctionClass.FLAT_BOTTOM)
-        if self.monotone_done or len(distinct) < 4:
+            else:
+                xs.append(x)
+                if not self.spaced or separated_count(xs, self.tol) >= 3:
+                    return self._outcome(distinct[rank], FunctionClass.FLAT_BOTTOM)
+        return self._monotone() if n == 3 else None
+
+    def _monotone(self) -> MinimizeOutcome | None:
+        obj = self.obj
+        count = obj.count
+        if count - self.start + 2 > self.tol.max_evaluations:
             return None
-        self.monotone_done = True
-        if self.fed - self.start + 2 > self.tol.max_evaluations:
-            return None
-        verdict = detect_monotone(distinct, self.interval, self.obj, self.tol)
+        verdict = detect_monotone(self.distinct, self.interval, obj, self.tol)
         if verdict is not None:
             return self._outcome(verdict.minimizer, verdict.direction)
-        # The two probes join the flat-bottom rule; the monotone check is done.
-        return self.observe()
+        for point in obj.transcript[count:]:
+            if (found := self.observe(point)) is not None:
+                return found
+        return None
 
     def _outcome(self, p: Point2, cls: FunctionClass) -> MinimizeOutcome:
-        return MinimizeOutcome(p.x, p.y, len(self.transcript) - self.start, cls,
+        return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
                                SolveStatus.CONVERGED)

@@ -215,15 +215,14 @@ def _ratio_section(
     if bracket_log is not None:
         bracket_log.append((a, b))
     recognizer = Recognizer(obj, interval, tol)
-    # Read once per solve; the loop uses them on every probe.
-    epsilon, floor = tol.epsilon, tol.floor
+    # Bound once per solve; the loop calls them on every probe.
+    evaluate, observe = obj.evaluate, recognizer.observe
     transcript, limit = obj.transcript, start + tol.max_evaluations
-    mx, my = obj.evaluate(halfway(a, b))
+    mx, my = first = evaluate(halfway(a, b))
+    observe(first)  # one point: nothing to recognize yet
     status = SolveStatus.CONVERGED
     while True:
-        # Either the shared stop test or "the longer side has shrunk to
-        # tolerance" ends the refinement.
-        if stop_test(a, b, mx, tol) or max(mx - a, b - mx) <= epsilon * abs(mx) + floor:
+        if stop_test(a, b, mx, tol):
             break
         if len(transcript) + 1 > limit:
             status = SolveStatus.BUDGET_EXHAUSTED
@@ -232,13 +231,17 @@ def _ratio_section(
             px = c * b + (1.0 - c) * mx
         else:
             px = c * a + (1.0 - c) * mx
-        py = obj.evaluate(px).y
-        recognized = recognizer.observe()
-        if recognized is not None:
+        if not a <= px <= b:
+            # On a bracket a few ulps wide the probe can round past its
+            # end: no abscissa is left to probe, it is at resolution.
+            break
+        point = evaluate(px)
+        if (recognized := observe(point)) is not None:
             return recognized
         if until is not None and (found := until(recognizer.distinct)) is not None:
             return found
 
+        py = point.y
         if py <= my:
             # The probe replaces the incumbent, which bounds the side away
             # from the probe.

@@ -125,9 +125,14 @@ def spaced_reference(w, tol):
 
 
 def feed(recognizer, obj, batch):
-    obj.transcript.extend(batch)
-    out = recognizer.observe()
-    return None if out is None else Point2(out.x_min, out.f_min)
+    """Record and observe each point, as a solver does after each
+    evaluation; the first hit ends the feed."""
+    for p in batch:
+        obj.transcript.append(p)
+        out = recognizer.observe(p)
+        if out is not None:
+            return Point2(out.x_min, out.f_min)
+    return None
 
 
 batched_runs = st.lists(
@@ -165,16 +170,34 @@ def test_spaced_recognizer_matches_brent_m_rule(batches):
             break
 
 
-def test_recognizer_batch_completing_two_levels():
-    # The second batch completes level 1.0 (first point at rank 1) and
-    # then level 2.0 (first point at rank 0).
-    first = pts((0.0, 2.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0))
-    batch = pts((4.0, 1.0), (5.0, 2.0))
-    for spaced, want in ((False, Point2(0.0, 2.0)), (True, Point2(1.0, 1.0))):
+def test_recognizer_first_completed_level_decides():
+    # x=4.0 completes level 1.0 (first point at rank 1) before x=5.0
+    # would complete level 2.0 (first point at rank 0).
+    w = pts((0.0, 2.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0), (4.0, 1.0), (5.0, 2.0))
+    for spaced in (False, True):
         obj = CountingObjective(lambda x: 0.0)
         recognizer = Recognizer(obj, Interval(0.0, 5.0), FLAT_ONLY, spaced=spaced)
-        assert feed(recognizer, obj, first) is None
-        assert feed(recognizer, obj, batch) == want
+        assert feed(recognizer, obj, w) == Point2(1.0, 1.0)
+        assert obj.count == 5
+
+
+def test_monotone_probes_complete_at_most_one_level():
+    # The fed points look non-decreasing.  The endpoint probe u = f(0)
+    # matches their lowest level and completes it; the inner probe v lies
+    # below it and rejects the hypothesis, and so joins no level.
+    f = lambda x: 0.5 if 0.0 < x < 1.0 else (1.0 if x <= 5.0 else x - 4.0)
+    obj = CountingObjective(f)
+    recognizer = Recognizer(obj, Interval(0.0, 10.0), TOL)
+    assert feed(recognizer, obj, sample(f, [4.0, 5.0, 6.0])) is None
+    point = Point2(7.0, f(7.0))
+    obj.transcript.append(point)
+    out = recognizer.observe(point)
+    u, v = obj.transcript[4:]
+    assert (u.x, u.y) == (0.0, 1.0)
+    assert v.y < min(p.y for p in obj.transcript[:5])
+    assert out.classification is FunctionClass.FLAT_BOTTOM
+    assert (out.x_min, out.f_min, out.evaluations) == (4.0, 1.0, 6)
+    assert detect_flat_bottom(obj.transcript) == Point2(4.0, 1.0)
 
 
 def test_spaced_recognizer_counts_the_level_first_abscissa():
@@ -196,8 +219,9 @@ def test_recognizer_runs_monotone_check_on_four_distinct_abscissas():
     # detect_monotone, which would reject it.
     assert feed(recognizer, obj, sample(f, [5.0, 7.5, 7.5, 6.0])) is None
     assert obj.count == 4
-    obj.transcript.append(Point2(9.0, 9.0))
-    out = recognizer.observe()
+    point = Point2(9.0, 9.0)
+    obj.transcript.append(point)
+    out = recognizer.observe(point)
     assert out is not None
     assert out.classification is FunctionClass.MONOTONE_INCREASING
     # Five fed points, then the two endpoint probes.
@@ -272,14 +296,14 @@ def test_requires_four_points():
 def test_rejects_duplicate_abscissas():
     obj = CountingObjective(lambda x: x)
     w = pts((0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate abscissa 1\.0 in monotone check$"):
         detect_monotone(w, Interval(0.0, 3.0), obj, TOL)
 
 
 def test_rejects_points_outside_interval():
     obj = CountingObjective(lambda x: x)
     w = pts((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (9.0, 9.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^point x=9\.0 outside Interval\(lo=0\.0, hi=3\.0\)$"):
         detect_monotone(w, Interval(0.0, 3.0), obj, TOL)
 
 

@@ -164,6 +164,32 @@ class TestStopTest:
         expected = max(m - a, b - m) <= 2.0 * e0(tol, m)
         assert stop_test(a, b, m, tol) == expected
 
+    @given(data=st.data(),
+           epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                             exclude_max=True),
+           floor=st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False, allow_subnormal=True))
+    def test_farther_side_within_e0_implies_stop(self, data, epsilon, floor):
+        # The farther side within one e0 of m is half the stop test's
+        # bound, so the ratio-section loop needs no clause for it.  Drawn
+        # a few ulps apart, subnormals and the ends of the range included,
+        # or anywhere finite.
+        if data.draw(st.booleans()):
+            a = data.draw(finite)
+            m = a
+            for _ in range(data.draw(st.integers(0, 4))):
+                m = math.nextafter(m, math.inf)
+            b = m
+            for _ in range(data.draw(st.integers(0, 4))):
+                b = math.nextafter(b, math.inf)
+            if not math.isfinite(b):
+                return
+        else:
+            a, m, b = sorted(data.draw(st.tuples(finite, finite, finite)))
+        tol = Tolerance(epsilon, floor)
+        if max(m - a, b - m) <= e0(tol, m):
+            assert stop_test(a, b, m, tol)
+
 
 class TestCountingObjective:
     def test_counts_every_call(self):

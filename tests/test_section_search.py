@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratiosect.benchsuite import benchmark_function, load_reference_minimizer
 from ratiosect.core import (
     CountingObjective,
+    EvaluationError,
     FunctionClass,
     Interval,
     SolveStatus,
@@ -209,6 +210,66 @@ def test_ratio_p_probe_rounding_onto_incumbent_does_not_raise():
         assert not out.converged
         assert out.evaluations == tol.max_evaluations
     assert out.evaluations == obj.count
+
+
+def test_ratio_p_probe_rounding_past_the_bracket_end_stops():
+    # Four ulps wide and a tolerance far below one ulp: the stop test
+    # never fires, and c*end + (1-c)*m.x rounds one ulp past b.  The run
+    # ends there, at resolution, instead of probing outside the interval.
+    lo, hi = 5.439556606083642e+256, 5.439556606083645e+256
+    interval = Interval(lo, hi)
+    obj = CountingObjective(lambda x: abs(x - hi) ** 0.6352549877628961)
+    tol = Tolerance(7.50863131081463e-36, 4.1526404041554244e-126, 400)
+    out = minimize_ratio_p(obj, interval, tol, RatioConfig(0.2))
+    assert all(p.x in interval for p in obj.transcript)
+    assert out.converged
+    assert (out.x_min, out.f_min) == (hi, 0.0)
+
+
+def _ulps_up(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def _few_ulp_runs(draw):
+    """An interval 1-12 ulps wide at a magnitude from 1e-300 to 1e256,
+    a target vertex on one of its floats, and a tolerance whose
+    ``epsilon*|x|`` and ``floor`` both lie below one ulp."""
+    base = draw(st.floats(1e-300, 1e256)) * draw(st.sampled_from([1.0, -1.0]))
+    floats = [_ulps_up(base, k) for k in range(draw(st.integers(1, 12)) + 1)]
+    ulp = math.ulp(min(abs(floats[0]), abs(floats[-1])))
+    tol = Tolerance(
+        draw(st.floats(min_value=0.0, max_value=1e-16, exclude_min=True)),
+        draw(st.floats(min_value=0.0, max_value=ulp, exclude_min=True,
+                       exclude_max=True, allow_subnormal=True)),
+        draw(st.integers(1, 200)))
+    return Interval(floats[0], floats[-1]), draw(st.sampled_from(floats)), tol
+
+
+@settings(max_examples=300)
+@given(run=_few_ulp_runs(),
+       c=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.integers(1, 999).map(lambda k: k / 1000)),
+       power=st.floats(0.1, 4.0))
+def test_ratio_p_on_few_ulp_intervals_stays_inside(run, c, power):
+    # Such intervals are where a probe can round past the bracket end;
+    # the run raises nothing but EvaluationError, returns a point of the
+    # interval and nests each logged bracket inside the one before it.
+    # Decimal ratios such as 0.2 are drawn on purpose: their 1 - c is
+    # inexact, so c*end + (1-c)*m can round past both end and m.
+    interval, v, tol = run
+    log: list[tuple[float, float]] = []
+    obj = CountingObjective(lambda x: abs(x - v) ** power)
+    try:
+        out = minimize_ratio_p(obj, interval, tol, RatioConfig(c), bracket_log=log)
+    except EvaluationError:
+        out = None
+    if out is not None:
+        assert out.x_min in interval
+    for (lo0, hi0), (lo1, hi1) in zip(log, log[1:]):
+        assert lo0 <= lo1 <= hi1 <= hi0
 
 
 def test_golden_on_interval_whose_width_overflows():
