@@ -31,7 +31,7 @@ from .brent import (
     brent_m_minimize,
     brent_minimize,
 )
-from .classify import MonotoneVerdict, detect_flat_bottom, detect_monotone
+from .classify import detect_flat_bottom, detect_monotone
 from .core import (
     CountingObjective,
     EvaluationError,
@@ -79,7 +79,6 @@ __all__ = [
     "LinearSystem",
     "MethodSpec",
     "MinimizeOutcome",
-    "MonotoneVerdict",
     "Point2",
     "Polynomial",
     "RatioConfig",

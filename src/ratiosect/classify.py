@@ -22,8 +22,6 @@ cases cheaply:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CountingObjective,
     FunctionClass,
@@ -36,33 +34,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    """A confirmed monotone hypothesis.
-
-    ``direction`` is either ``MONOTONE_INCREASING`` or
-    ``MONOTONE_DECREASING``; ``minimizer`` is the evaluated interval
-    endpoint (left for increasing, right for decreasing).  A confirmed
-    verdict always costs two evaluations.
-    """
-
-    direction: FunctionClass
-    minimizer: Point2
-
-    def __post_init__(self) -> None:
-        if self.direction not in (
-            FunctionClass.MONOTONE_INCREASING,
-            FunctionClass.MONOTONE_DECREASING,
-        ):
-            raise ValueError(f"not a monotone direction: {self.direction}")
-
-
 def detect_monotone(
     w: list[Point2],
     interval: Interval,
     obj: CountingObjective,
     tol: Tolerance,
-) -> MonotoneVerdict | None:
+) -> tuple[FunctionClass, Point2] | None:
     """Try to confirm that the target is monotone on ``interval``.
 
     ``w`` must hold at least four points with pairwise-distinct abscissas,
@@ -74,7 +51,9 @@ def detect_monotone(
     ``u.y <= min(sorted ordinates)`` and ``u.y <= v.y`` (non-strict, so
     monotone functions with flat stretches pass too).
 
-    Returns the verdict, or ``None`` if the hypothesis dies at any stage.
+    Returns ``(direction, u)``: ``MONOTONE_INCREASING`` with ``u`` the left
+    endpoint, or ``MONOTONE_DECREASING`` with the right one; or ``None`` if
+    the hypothesis dies at any stage.  A confirmation costs two evaluations.
     Never confirms a strictly unimodal target whose interior minimum lies
     below both endpoint ordinates, provided ``w`` straddles the minimizer.
     """
@@ -114,7 +93,7 @@ def detect_monotone(
     v = obj.evaluate(inner)
     if not u.y <= v.y:
         return None
-    return MonotoneVerdict(direction=direction, minimizer=u)
+    return direction, u
 
 
 def detect_flat_bottom(w: list[Point2]) -> Point2 | None:
@@ -212,7 +191,7 @@ class Recognizer:
             else:
                 xs.append(x)
                 if not self.spaced or separated_count(xs, self.tol) >= 3:
-                    return self._outcome(distinct[rank], FunctionClass.FLAT_BOTTOM)
+                    return self._outcome(FunctionClass.FLAT_BOTTOM, distinct[rank])
         return self._monotone() if n == 3 else None
 
     def _monotone(self) -> MinimizeOutcome | None:
@@ -222,12 +201,12 @@ class Recognizer:
             return None
         verdict = detect_monotone(self.distinct, self.interval, obj, self.tol)
         if verdict is not None:
-            return self._outcome(verdict.minimizer, verdict.direction)
+            return self._outcome(*verdict)
         for point in obj.transcript[count:]:
             if (found := self.observe(point)) is not None:
                 return found
         return None
 
-    def _outcome(self, p: Point2, cls: FunctionClass) -> MinimizeOutcome:
+    def _outcome(self, cls: FunctionClass, p: Point2) -> MinimizeOutcome:
         return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
                                SolveStatus.CONVERGED)

@@ -14,20 +14,22 @@ Example::
     >>> f(1.5)
     0.2
 
-Parsing compiles the evaluator once per shape: the parser emits the
-Python source ``lambda x, /, _0, ..., _<n-1>: <expr>`` with only the
-parentheses the grammar needs (Python binds ``+ - * /`` and unary minus as
-the grammar does; ``^`` becomes a call to ``pow``).  Only tokens the
-grammar accepted reach ``compile``: ``x``, the operators, parentheses,
-commas, the names of the function table, and the parameter ``_<i>`` in
-place of the ``i``-th literal (a literal such as ``1e999`` is ``inf``,
-which has no source form).  Texts that differ only in their literals emit
-the same source, so it is compiled once and kept, for the 256 most recent
-shapes; each parse makes a function of that code whose parameter defaults
-are its own literals, and a call runs one Python function.  The code runs
-in one namespace shared by every parse, holding only the table's
-functions.  ``pow`` is the table's ``_power``, so a fractional power of a
-negative base raises ``ValueError`` rather than going complex.
+A parsed :class:`Expression` is a :class:`functools.partial` of its shape's
+compiled function over its literals, so a call enters that one function.
+The parser emits ``lambda _0, ..., _<n-1>, x, /: float(<expr>)`` with only
+the parentheses the grammar needs.  ``^`` becomes ``pow``, the table's
+``_power``, which raises ``ValueError`` where a fractional power of a
+negative base would go complex; on a base that is a call to ``abs``, never
+negative, it becomes Python's ``**``.  Only tokens the grammar accepted
+reach ``compile``: ``x``, the operators, parentheses, commas, the table's
+names, and ``_<i>`` for the ``i``-th literal (``1e999`` is ``inf``, which
+has no source form).  The code sees only the table's functions and ``float``.
+
+A text's shape, its names and operators in order with the places of its
+numbers, alone decides the parse.  The 256 most recently used shapes keep
+their function and literal plan (the number token behind each ``_<i>``, and
+whether unary minus negated it), so a text of a known shape, such as
+``5 * x+7`` after ``2*x + 3``, is only tokenized and its literals converted.
 
 Parse problems raise :class:`ExpressionError` carrying the offset of the
 offending token; so does a text nested too deeply to parse or compile.
@@ -42,17 +44,18 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
-from types import CodeType, FunctionType
-from typing import Callable, Union
+from collections import OrderedDict
+from functools import partial
+from types import FunctionType
+from typing import Callable
 
-# One token per match, after any whitespace: a number, a name, an operator,
-# or any other character (an error).
+# One token per match, after any whitespace: a word (an operator or a name),
+# a number, or any other character (an error).  No token needs backtracking,
+# so every repeat is possessive.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-      ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-    | ([A-Za-z_][A-Za-z0-9_]*)
-    | ([-+*/^(),])
+    r"""\s*+(?:
+      ([-+*/^(),] | [A-Za-z_][A-Za-z0-9_]*+)
+    | ((?:\d++\.?+\d*+|\.\d++)(?:[eE][+-]?+\d++)?+)
     | (\S)
     )""",
     re.VERBOSE,
@@ -84,16 +87,14 @@ _FUNCTIONS: dict[str, tuple[int, int | None, Callable[..., float]]] = {
     "max": (2, None, max),
     "min": (2, None, min),
 }
-# What compiled code sees: the table's functions, and no builtins.
-_NAMESPACE = {"__builtins__": {}, **{name: impl for name, (*_, impl) in _FUNCTIONS.items()}}
+# What compiled code sees: the table's functions, ``float``, no builtins.
+_NAMESPACE = {"__builtins__": {}, "float": float,
+              **{name: impl for name, (*_, impl) in _FUNCTIONS.items()}}
 
-
-@lru_cache(maxsize=256)
-def _code(source: str) -> CodeType:
-    """The code of the function ``source`` (``lambda x, /, _0, ...: <expr>``),
-    compiled once per shape.  The compiled expression only makes that
-    function, so its code is the expression's one constant."""
-    return compile(source, "<expression>", "eval").co_consts[0]
+# A shape's words column ("" at each number) -> its function and literal
+# plan, least recently used first.
+_SHAPES: OrderedDict[tuple, tuple[Callable[..., float], tuple[int, ...]]] = OrderedDict()
+_MAX_SHAPES = 256
 
 
 class ExpressionError(ValueError):
@@ -105,122 +106,138 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-# A parsed subexpression: a literal (a float, folded under unary minus) or
-# ``(source, level)``, its Python source and how tightly that binds.
-_Node = Union[float, tuple[str, int]]
-_SUM, _TERM, _NEG, _ATOM = 1, 2, 3, 4
+# A parsed subexpression: ``(source, level)``, its Python source and how
+# tightly that binds.  A literal is its parameter ``_<k>`` at _LITERAL, which
+# binds as an atom does and lets unary minus fold into the literal's plan.
+_Node = tuple[str, int]
+_SUM, _TERM, _NEG, _POW, _ATOM, _LITERAL = 1, 2, 3, 4, 5, 6
 _BINARY = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM}
 
 
-class Expression:
-    """A parsed expression; calling it evaluates at the given ``x``."""
-
-    def __init__(self, source: str, fn: Callable[[float], float]):
-        self.source = source
-        self._fn = fn
-
-    def __call__(self, x: float) -> float:
-        return float(self._fn(x))
+class Expression(partial):
+    """A parsed expression; calling it evaluates at the given ``x``.  Its
+    ``func`` is the shape's function, ``args`` the literals, ``source`` the text."""
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"
 
 
+def _source(node: _Node, level: int = _SUM) -> str:
+    """``node``'s source, in parentheses unless it binds as tightly as ``level``."""
+    text, own = node
+    return text if own >= level else f"({text})"
+
+
+def _error(text: str, message: str, index: int) -> ExpressionError:
+    """``message`` at token ``index``: offsets are only needed here, so only found here."""
+    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
+    return ExpressionError(message, starts[index] if index < len(starts) else len(text))
+
+
 class _Parser:
     """Recursive descent over the tokens, held as columns: entry ``i`` of
-    ``numbers``, ``names`` and ``ops`` is token ``i``'s text in the one
-    column its kind fills, and ``""`` in the others; the last token, all
-    ``""``, is the end of input."""
+    ``words`` is token ``i``'s text if it is an operator or a name, and of
+    ``numbers`` if it is a number, ``""`` otherwise; the last token, ``""``
+    in both, is the end of input."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, words: tuple, numbers: tuple):
         self.text = text
-        tokens = _TOKEN_RE.findall(text)
-        tokens.append(("", "", "", ""))
-        self.numbers, self.names, self.ops, others = zip(*tokens)
+        self.words, self.numbers = words, numbers
         self.index = 0
-        self.literals: list[float] = []
+        self.plan: list[int] = []
         self.params: list[str] = []
-        if any(others):
-            index = next(i for i, other in enumerate(others) if other)
-            raise self.error(f"unexpected character {others[index]!r}", index)
 
     def error(self, message: str, index: int) -> ExpressionError:
-        # Offsets are only needed here, so only found here.
-        starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.text)]
-        return ExpressionError(message, starts[index] if index < len(starts) else len(self.text))
+        return _error(self.text, message, index)
 
     def found(self, i: int) -> str:
-        return repr(self.numbers[i] or self.names[i] or self.ops[i] or "end of input")
+        return repr(self.words[i] or self.numbers[i] or "end of input")
 
     def expect_op(self, op: str) -> None:
-        if self.ops[self.index] != op:
+        if self.words[self.index] != op:
             raise self.error(f"expected {op!r}, found {self.found(self.index)}", self.index)
         self.index += 1
-
-    def source(self, node: _Node, level: int = _SUM) -> str:
-        """``node`` as source that binds at least as tightly as ``level``;
-        a literal becomes the name ``_<n>`` of its place in ``literals``."""
-        if isinstance(node, float):
-            name = f"_{len(self.literals)}"
-            self.literals.append(node)
-            self.params.append(name)
-            return name
-        text, own = node
-        return text if own >= level else f"({text})"
 
     # expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*
     def expr(self, level: int = _SUM) -> _Node:
         """The longest run of operators binding at ``level`` or tighter."""
         node = self.factor()
-        while (op_level := _BINARY.get(self.ops[self.index], 0)) >= level:
-            op = self.ops[self.index]
+        while (op_level := _BINARY.get(self.words[self.index], 0)) >= level:
+            op = self.words[self.index]
             self.index += 1
             right = self.expr(op_level + 1)
-            node = f"{self.source(node, op_level)} {op} {self.source(right, op_level + 1)}", op_level
+            node = f"{_source(node, op_level)} {op} {_source(right, op_level + 1)}", op_level
         return node
 
     # factor := '-' factor | atom ('^' factor)?   (^ is right-associative)
     def factor(self) -> _Node:
-        if self.ops[self.index] == "-":
+        if self.words[self.index] == "-":
             self.index += 1
             inner = self.factor()
-            if isinstance(inner, float):
-                return -inner
-            return "-" + self.source(inner, _NEG), _NEG
+            if inner[1] == _LITERAL:  # the last literal read
+                self.plan[-1] = ~self.plan[-1]
+                return inner
+            return "-" + _source(inner, _NEG), _NEG
         node = self.atom()
-        if self.ops[self.index] == "^":
-            self.index += 1
-            return f"pow({self.source(node)}, {self.source(self.factor())})", _ATOM
-        return node
+        if self.words[self.index] != "^":
+            return node
+        self.index += 1
+        base = _source(node)
+        # An atom whose source starts "abs(" is one call to abs: never
+        # negative, so ** cannot go complex and needs no _power check.
+        # Python's ** takes a unary minus on its right, as ^ does.
+        if base.startswith("abs(") and node[1] == _ATOM:
+            return f"{base} ** {_source(self.factor(), _NEG)}", _POW
+        return f"pow({base}, {_source(self.factor())})", _ATOM
 
     def atom(self) -> _Node:
         i = self.index
         self.index += 1
-        name = self.names[i]
+        name = self.words[i]
         if self.numbers[i]:
-            return float(self.numbers[i])
+            param = f"_{len(self.plan)}"
+            self.plan.append(i)
+            self.params.append(param)
+            return param, _LITERAL
         if name == "x":
             return "x", _ATOM
         if name in _FUNCTIONS:
             self.expect_op("(")
-            args = [self.source(self.expr())]
-            while self.ops[self.index] == ",":
+            args = [_source(self.expr())]
+            while self.words[self.index] == ",":
                 self.index += 1
-                args.append(self.source(self.expr()))
+                args.append(_source(self.expr()))
             self.expect_op(")")
             low, high, _ = _FUNCTIONS[name]
             if len(args) < low or (high is not None and len(args) > high):
                 wanted = str(low) if high == low else f"at least {low}"
                 raise self.error(f"{name}() takes {wanted} argument(s), got {len(args)}", i)
             return f"{name}({', '.join(args)})", _ATOM
-        if name:
+        if name.isidentifier():
             raise self.error(f"unknown identifier {name!r}", i)
-        if self.ops[i] == "(":
+        if name == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         raise self.error(
             f"expected a number, 'x', a function call or '(', found {self.found(i)}", i)
+
+    def shape(self) -> tuple[Callable[..., float], tuple[int, ...]]:
+        """Parse and compile the whole text: its function and literal plan."""
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise self.error("expression nested too deeply", self.index - 1) from None
+        if self.index < len(self.words) - 1:
+            raise self.error(f"unexpected trailing input {self.found(self.index)}", self.index)
+        body = _source(node)
+        params = ", ".join([*self.params, "x", "/"])
+        try:
+            code = compile(f"lambda {params}: float({body})", "<expression>", "eval")
+        except (SyntaxError, RecursionError):
+            raise ExpressionError("expression nested too deeply to compile", 0) from None
+        # The compiled expression only makes the function: its one constant.
+        return FunctionType(code.co_consts[0], _NAMESPACE), tuple(self.plan)
 
 
 def parse_expression(text: str) -> Expression:
@@ -230,20 +247,22 @@ def parse_expression(text: str) -> Expression:
     unknown identifiers, wrong call arity, or nesting too deep to parse
     (offset of the last token read) or to compile (offset 0).
     """
-    parser = _Parser(text)
-    try:
-        node = parser.expr()
-    except RecursionError:
-        raise parser.error("expression nested too deeply", parser.index - 1) from None
-    if parser.index < len(parser.ops) - 1:
-        raise parser.error(f"unexpected trailing input {parser.found(parser.index)}", parser.index)
-    body = parser.source(node)  # names a bare literal: before reading params
-    # Positional-only parameters: the form Python's parser tries first, so
-    # the cheapest to compile.
-    params = ", ".join(["x", "/", *parser.params])
-    source = f"lambda {params}: {body}"
-    try:
-        code = _code(source)
-    except (SyntaxError, RecursionError):
-        raise ExpressionError("expression nested too deeply to compile", 0) from None
-    return Expression(text, FunctionType(code, _NAMESPACE, None, tuple(parser.literals)))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(("", "", ""))
+    words, numbers, others = zip(*tokens)
+    # Like a number's, an unexpected character's word is "": never look it up.
+    if any(others):
+        index = next(i for i, other in enumerate(others) if other)
+        raise _error(text, f"unexpected character {others[index]!r}", index)
+    shape = _SHAPES.get(words)
+    if shape is None:
+        shape = _SHAPES[words] = _Parser(text, words, numbers).shape()
+        if len(_SHAPES) > _MAX_SHAPES:
+            _SHAPES.popitem(last=False)
+    else:
+        _SHAPES.move_to_end(words)
+    fn, plan = shape
+    expression = Expression(fn, *[float(numbers[i]) if i >= 0 else -float(numbers[~i])
+                                  for i in plan])
+    expression.source = text
+    return expression

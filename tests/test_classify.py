@@ -239,9 +239,7 @@ def test_confirms_increasing():
     obj = CountingObjective(lambda x: x * x)
     verdict = detect_monotone(sample(lambda x: x * x, [1.0, 3.0, 5.0, 7.0]),
                               iv, obj, TOL)
-    assert verdict is not None
-    assert verdict.direction is FunctionClass.MONOTONE_INCREASING
-    assert verdict.minimizer == Point2(0.0, 0.0)
+    assert verdict == (FunctionClass.MONOTONE_INCREASING, Point2(0.0, 0.0))
     # A confirmed verdict costs exactly its two endpoint probes.
     assert obj.count == 2
 
@@ -252,8 +250,9 @@ def test_confirms_decreasing():
     obj = CountingObjective(f)
     verdict = detect_monotone(sample(f, [2.0, 4.0, 6.0, 8.0]), iv, obj, TOL)
     assert verdict is not None
-    assert verdict.direction is FunctionClass.MONOTONE_DECREASING
-    assert verdict.minimizer.x == 9.0
+    direction, endpoint = verdict
+    assert direction is FunctionClass.MONOTONE_DECREASING
+    assert endpoint.x == 9.0
 
 
 def test_rejects_non_monotone_ordinates_for_free():
@@ -282,8 +281,9 @@ def test_flat_stretch_passes_non_strictly():
     obj = CountingObjective(f)
     verdict = detect_monotone(sample(f, [1.0, 2.0, 5.0, 7.0]), iv, obj, TOL)
     assert verdict is not None
-    assert verdict.direction is FunctionClass.MONOTONE_INCREASING
-    assert verdict.minimizer.y == 3.0
+    direction, endpoint = verdict
+    assert direction is FunctionClass.MONOTONE_INCREASING
+    assert endpoint.y == 3.0
 
 
 def test_requires_four_points():
@@ -330,10 +330,11 @@ def test_affine_targets_always_confirm(slope, intercept, increasing, xs):
     obj = CountingObjective(f)
     verdict = detect_monotone(sample(f, sorted(xs)), iv, obj, TOL)
     assert verdict is not None
+    direction, endpoint = verdict
     expected = (FunctionClass.MONOTONE_INCREASING if increasing
                 else FunctionClass.MONOTONE_DECREASING)
-    assert verdict.direction is expected
-    assert verdict.minimizer.x == (0.0 if increasing else 1.0)
+    assert direction is expected
+    assert endpoint.x == (0.0 if increasing else 1.0)
 
 
 @given(

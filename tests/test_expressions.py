@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from ratiosect.benchsuite import benchmark_suite
 from ratiosect.core import CountingObjective, EvaluationError
-from ratiosect.expressions import ExpressionError, _code, _power, parse_expression
+from ratiosect.expressions import (
+    _MAX_SHAPES,
+    _SHAPES,
+    Expression,
+    ExpressionError,
+    _power,
+    parse_expression,
+)
 
 
 def ev(text, x=0.0):
@@ -153,6 +161,8 @@ class TestCompiledSource:
             parse_expression("__import__(1)")
         with pytest.raises(ExpressionError):
             parse_expression("_0 + x")
+        with pytest.raises(ExpressionError):
+            parse_expression("float(x)")
 
 
 class TestTooDeep:
@@ -178,20 +188,35 @@ class TestTooDeep:
 
 
 class TestShapeCache:
-    # Texts that differ only in their literals share one compiled code
-    # object; each parse binds its own literals.
+    # Texts of one shape share one compiled function; each parse binds its
+    # own literals.
     def test_same_shape_shares_code_not_literals(self):
         f, g = parse_expression("2*x + 3"), parse_expression("5*x + 7")
-        assert f._fn.__code__ is g._fn.__code__
-        assert f._fn.__globals__ is g._fn.__globals__
+        assert f.func is g.func
+        assert (f.args, g.args) == ((2.0, 3.0), (5.0, 7.0))
         assert (f(1.0), g(1.0)) == (5.0, 12.0)
+
+    def test_whitespace_and_literals_do_not_change_the_shape(self):
+        f = parse_expression("1.5*abs(x - -2)^3 + 4")
+        g = parse_expression(" 2e3 * abs( x--7.25 ) ^ .5+0 ")
+        assert f.func is g.func
+        assert g(1.0) == 2e3 * abs(1.0 + 7.25) ** 0.5 + 0.0
 
     def test_special_literals_survive_a_hit(self):
         for _ in range(2):
             assert ev("min(x, 1e999)", 2.0) == 2.0
             assert ev("min(x, 1e999)", 1e300) == 1e300
             assert math.copysign(1.0, ev("-0.0*x", 2.0)) == -1.0
+            assert math.copysign(1.0, ev("-(-0.0)*x", 2.0)) == 1.0
         assert math.copysign(1.0, ev("0.0*x", 2.0)) == 1.0
+
+    def test_unexpected_character_never_takes_a_known_shape(self):
+        # "$" is no word, as a number is none, so "x + $" must not pass for
+        # "x + 1".
+        assert ev("x + 1", 2.0) == 3.0
+        with pytest.raises(ExpressionError, match="unexpected character") as exc_info:
+            parse_expression("x + $")
+        assert exc_info.value.position == 4
 
     def test_failure_to_compile_is_not_cached(self):
         for _ in range(3):
@@ -199,13 +224,53 @@ class TestShapeCache:
                 parse_expression("1^" * 300 + "1")
 
     def test_shapes_beyond_the_bound_still_parse(self):
-        bound = _code.cache_info().maxsize
-        texts = ["x" + " + x" * k + " + 1" for k in range(bound + 20)]
+        texts = ["x" + " + x" * k + " + 1" for k in range(_MAX_SHAPES + 20)]
         for k, text in enumerate(texts):
             assert ev(text, 2.0) == 2.0 * (k + 1) + 1.0
-        assert _code.cache_info().currsize == bound
+        assert len(_SHAPES) == _MAX_SHAPES
         for k, text in enumerate(texts[:20]):
             assert ev(text.replace("1", "3"), 2.0) == 2.0 * (k + 1) + 3.0
+
+
+class TestCall:
+    def test_is_a_partial_of_the_literals(self):
+        f = parse_expression("3*x + 4")
+        assert isinstance(f, Expression)
+        assert f.source == "3*x + 4"
+        assert type(f(2)) is float and f(2) == 10.0
+        for copied in (copy.copy(f), copy.deepcopy(f)):
+            assert (repr(copied), copied(2.0)) == ("Expression('3*x + 4')", 10.0)
+
+    def test_extra_positional_argument_raises(self):
+        # The literals lead and x is positional-only, so a second argument
+        # cannot stand in for a literal.
+        f = parse_expression("3*x + 4")
+        with pytest.raises(TypeError):
+            f(1.0, 2.0)
+        with pytest.raises(TypeError):
+            f()
+
+    def test_power_of_abs_compiles_to_python_power(self):
+        f = parse_expression("abs(x - 1)^2.5")
+        assert "pow" not in f.func.__code__.co_names
+        assert f(3.0) == _power(2.0, 2.5)
+        assert "pow" in parse_expression("(x - 1)^2.5").func.__code__.co_names
+
+    def test_power_of_abs_keeps_precedence(self):
+        assert ev("-abs(x)^2", 3.0) == -9.0
+        assert ev("(abs(x)^2)^3", 2.0) == 64.0
+        assert ev("abs(x)^-1", 4.0) == 0.25
+        assert ev("abs(x)^abs(x)^2", 2.0) == 16.0
+        assert ev("2*abs(x)^(1+1)", 3.0) == 18.0
+
+    @pytest.mark.parametrize("text,x,error", [
+        ("(-2)^0.5", 0.0, ValueError),
+        ("(x - 1)^0.5", 0.0, ValueError),
+        ("abs(x)^-1", 0.0, ZeroDivisionError),
+    ])
+    def test_power_errors_keep_their_class(self, text, x, error):
+        with pytest.raises(error):
+            parse_expression(text)(x)
 
 
 def test_repr_shows_source():
