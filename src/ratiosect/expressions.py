@@ -15,21 +15,22 @@ Example::
     0.2
 
 A parsed :class:`Expression` is a :class:`functools.partial` of its shape's
-compiled function over its literals, so a call enters that one function.
-The parser emits ``lambda _0, ..., _<n-1>, x, /: float(<expr>)`` with only
-the parentheses the grammar needs.  ``^`` becomes ``pow``, the table's
-``_power``, which raises ``ValueError`` where a fractional power of a
-negative base would go complex; on a base that is a call to ``abs``, never
-negative, it becomes Python's ``**``.  Only tokens the grammar accepted
-reach ``compile``: ``x``, the operators, parentheses, commas, the table's
-names, and ``_<i>`` for the ``i``-th literal (``1e999`` is ``inf``, which
-has no source form).  The code sees only the table's functions and ``float``.
+compiled function over the text's numbers, so a call enters that one
+function.  The parser emits ``lambda _0, ..., _<n-1>, x, /: float(<expr>)``
+with only the parentheses the grammar needs; the ``k``-th number in the
+text is the parameter ``_<k>`` (``1e999`` is ``inf``, which has no source
+form), and a unary minus stays in the source.  Only tokens the grammar
+accepted reach ``compile``: ``x``, the operators, parentheses, commas, the
+table's names and those parameters, and the code sees only the table's
+functions and ``float``.  ``^`` becomes ``pow``, the table's ``_power``,
+which raises ``ValueError`` where a fractional power of a negative base
+would go complex; on a base that is a call to ``abs``, never negative, it
+becomes Python's ``**``, with the same result bits and exceptions.
 
 A text's shape, its names and operators in order with the places of its
-numbers, alone decides the parse.  The 256 most recently used shapes keep
-their function and literal plan (the number token behind each ``_<i>``, and
-whether unary minus negated it), so a text of a known shape, such as
-``5 * x+7`` after ``2*x + 3``, is only tokenized and its literals converted.
+numbers, alone decides its function.  The functions of the 256 most
+recently used shapes are kept, so a text of a known shape, such as
+``5 * x+7`` after ``2*x + 3``, is only tokenized and its numbers converted.
 
 Parse problems raise :class:`ExpressionError` carrying the offset of the
 offending token; so does a text nested too deeply to parse or compile.
@@ -50,12 +51,11 @@ from types import FunctionType
 from typing import Callable
 
 # One token per match, after any whitespace: a word (an operator or a name),
-# a number, or any other character (an error).  No token needs backtracking,
-# so every repeat is possessive.
+# a number, or any other character (an error).
 _TOKEN_RE = re.compile(
-    r"""\s*+(?:
-      ([-+*/^(),] | [A-Za-z_][A-Za-z0-9_]*+)
-    | ((?:\d++\.?+\d*+|\.\d++)(?:[eE][+-]?+\d++)?+)
+    r"""\s*(?:
+      ([-+*/^(),] | [A-Za-z_][A-Za-z0-9_]*)
+    | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
     | (\S)
     )""",
     re.VERBOSE,
@@ -91,9 +91,9 @@ _FUNCTIONS: dict[str, tuple[int, int | None, Callable[..., float]]] = {
 _NAMESPACE = {"__builtins__": {}, "float": float,
               **{name: impl for name, (*_, impl) in _FUNCTIONS.items()}}
 
-# A shape's words column ("" at each number) -> its function and literal
-# plan, least recently used first.
-_SHAPES: OrderedDict[tuple, tuple[Callable[..., float], tuple[int, ...]]] = OrderedDict()
+# A text's shape (its words column) -> the shape's function, least recently
+# used first.
+_SHAPES: OrderedDict[tuple[str, ...], Callable[..., float]] = OrderedDict()
 _MAX_SHAPES = 256
 
 
@@ -107,10 +107,9 @@ class ExpressionError(ValueError):
 
 
 # A parsed subexpression: ``(source, level)``, its Python source and how
-# tightly that binds.  A literal is its parameter ``_<k>`` at _LITERAL, which
-# binds as an atom does and lets unary minus fold into the literal's plan.
+# tightly that binds.
 _Node = tuple[str, int]
-_SUM, _TERM, _NEG, _POW, _ATOM, _LITERAL = 1, 2, 3, 4, 5, 6
+_SUM, _TERM, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 _BINARY = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM}
 
 
@@ -128,27 +127,22 @@ def _source(node: _Node, level: int = _SUM) -> str:
     return text if own >= level else f"({text})"
 
 
-def _error(text: str, message: str, index: int) -> ExpressionError:
-    """``message`` at token ``index``: offsets are only needed here, so only found here."""
-    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
-    return ExpressionError(message, starts[index] if index < len(starts) else len(text))
-
-
 class _Parser:
     """Recursive descent over the tokens, held as columns: entry ``i`` of
     ``words`` is token ``i``'s text if it is an operator or a name, and of
     ``numbers`` if it is a number, ``""`` otherwise; the last token, ``""``
-    in both, is the end of input."""
+    in both, is the end of input.  The ``k``-th number read is ``_<k>``."""
 
-    def __init__(self, text: str, words: tuple, numbers: tuple):
+    def __init__(self, text: str, words: tuple[str, ...], numbers: tuple[str, ...]):
         self.text = text
         self.words, self.numbers = words, numbers
         self.index = 0
-        self.plan: list[int] = []
         self.params: list[str] = []
 
     def error(self, message: str, index: int) -> ExpressionError:
-        return _error(self.text, message, index)
+        # Offsets are only needed here, so only found here.
+        starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.text)]
+        return ExpressionError(message, starts[index] if index < len(starts) else len(self.text))
 
     def found(self, i: int) -> str:
         return repr(self.words[i] or self.numbers[i] or "end of input")
@@ -173,32 +167,27 @@ class _Parser:
     def factor(self) -> _Node:
         if self.words[self.index] == "-":
             self.index += 1
-            inner = self.factor()
-            if inner[1] == _LITERAL:  # the last literal read
-                self.plan[-1] = ~self.plan[-1]
-                return inner
-            return "-" + _source(inner, _NEG), _NEG
+            return "-" + _source(self.factor(), _NEG), _NEG
+        start = self.index
         node = self.atom()
         if self.words[self.index] != "^":
             return node
         self.index += 1
-        base = _source(node)
-        # An atom whose source starts "abs(" is one call to abs: never
-        # negative, so ** cannot go complex and needs no _power check.
-        # Python's ** takes a unary minus on its right, as ^ does.
-        if base.startswith("abs(") and node[1] == _ATOM:
-            return f"{base} ** {_source(self.factor(), _NEG)}", _POW
-        return f"pow({base}, {_source(self.factor())})", _ATOM
+        # A call to abs is never negative, so ** cannot go complex there and
+        # needs no _power check.  Python's ** takes a unary minus on its
+        # right, as ^ does.
+        if self.words[start] == "abs":
+            return f"{_source(node)} ** {_source(self.factor(), _NEG)}", _POW
+        return f"pow({_source(node)}, {_source(self.factor())})", _ATOM
 
     def atom(self) -> _Node:
         i = self.index
         self.index += 1
         name = self.words[i]
         if self.numbers[i]:
-            param = f"_{len(self.plan)}"
-            self.plan.append(i)
+            param = f"_{len(self.params)}"
             self.params.append(param)
-            return param, _LITERAL
+            return param, _ATOM
         if name == "x":
             return "x", _ATOM
         if name in _FUNCTIONS:
@@ -222,22 +211,21 @@ class _Parser:
         raise self.error(
             f"expected a number, 'x', a function call or '(', found {self.found(i)}", i)
 
-    def shape(self) -> tuple[Callable[..., float], tuple[int, ...]]:
-        """Parse and compile the whole text: its function and literal plan."""
+    def function(self) -> Callable[..., float]:
+        """Parse and compile the whole text into its shape's function."""
         try:
             node = self.expr()
         except RecursionError:
             raise self.error("expression nested too deeply", self.index - 1) from None
         if self.index < len(self.words) - 1:
             raise self.error(f"unexpected trailing input {self.found(self.index)}", self.index)
-        body = _source(node)
         params = ", ".join([*self.params, "x", "/"])
         try:
-            code = compile(f"lambda {params}: float({body})", "<expression>", "eval")
+            code = compile(f"lambda {params}: float({_source(node)})", "<expression>", "eval")
         except (SyntaxError, RecursionError):
             raise ExpressionError("expression nested too deeply to compile", 0) from None
         # The compiled expression only makes the function: its one constant.
-        return FunctionType(code.co_consts[0], _NAMESPACE), tuple(self.plan)
+        return FunctionType(code.co_consts[0], _NAMESPACE)
 
 
 def parse_expression(text: str) -> Expression:
@@ -250,19 +238,14 @@ def parse_expression(text: str) -> Expression:
     tokens = _TOKEN_RE.findall(text)
     tokens.append(("", "", ""))
     words, numbers, others = zip(*tokens)
-    # Like a number's, an unexpected character's word is "": never look it up.
-    if any(others):
+    if any(others):  # its word is "", as a number's is: never look it up
         index = next(i for i, other in enumerate(others) if other)
-        raise _error(text, f"unexpected character {others[index]!r}", index)
-    shape = _SHAPES.get(words)
-    if shape is None:
-        shape = _SHAPES[words] = _Parser(text, words, numbers).shape()
-        if len(_SHAPES) > _MAX_SHAPES:
-            _SHAPES.popitem(last=False)
-    else:
-        _SHAPES.move_to_end(words)
-    fn, plan = shape
-    expression = Expression(fn, *[float(numbers[i]) if i >= 0 else -float(numbers[~i])
-                                  for i in plan])
+        raise _Parser(text, words, numbers).error(f"unexpected character {others[index]!r}", index)
+    # A hit is one pop and one store: no other thread can evict in between.
+    fn = _SHAPES.pop(words, None) or _Parser(text, words, numbers).function()
+    _SHAPES[words] = fn
+    if len(_SHAPES) > _MAX_SHAPES:
+        _SHAPES.popitem(last=False)
+    expression = Expression(fn, *[float(number) for number in numbers if number])
     expression.source = text
     return expression

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ratiosect.benchsuite import benchmark_suite
 from ratiosect.core import CountingObjective, EvaluationError
 from ratiosect.expressions import (
-    _MAX_SHAPES,
-    _SHAPES,
     Expression,
     ExpressionError,
+    _MAX_SHAPES,
+    _SHAPES,
     _power,
     parse_expression,
 )
@@ -196,6 +196,11 @@ class TestShapeCache:
         assert (f.args, g.args) == ((2.0, 3.0), (5.0, 7.0))
         assert (f(1.0), g(1.0)) == (5.0, 12.0)
 
+    def test_literals_are_the_numbers_in_text_order(self):
+        f = parse_expression("-2*abs(x - -3)^4 + -(5)")
+        assert f.args == (2.0, 3.0, 4.0, 5.0)
+        assert f(1.0) == -2.0 * abs(1.0 + 3.0) ** 4.0 - 5.0
+
     def test_whitespace_and_literals_do_not_change_the_shape(self):
         f = parse_expression("1.5*abs(x - -2)^3 + 4")
         g = parse_expression(" 2e3 * abs( x--7.25 ) ^ .5+0 ")
@@ -211,8 +216,6 @@ class TestShapeCache:
         assert math.copysign(1.0, ev("0.0*x", 2.0)) == 1.0
 
     def test_unexpected_character_never_takes_a_known_shape(self):
-        # "$" is no word, as a number is none, so "x + $" must not pass for
-        # "x + 1".
         assert ev("x + 1", 2.0) == 3.0
         with pytest.raises(ExpressionError, match="unexpected character") as exc_info:
             parse_expression("x + $")
@@ -250,11 +253,19 @@ class TestCall:
         with pytest.raises(TypeError):
             f()
 
+    def test_x_is_positional_only(self):
+        # An Expression is called as f(x); f(x=...) was also accepted
+        # before it became a partial, and is not now.
+        with pytest.raises(TypeError):
+            parse_expression("3*x + 4")(x=1.0)
+
     def test_power_of_abs_compiles_to_python_power(self):
         f = parse_expression("abs(x - 1)^2.5")
         assert "pow" not in f.func.__code__.co_names
-        assert f(3.0) == _power(2.0, 2.5)
-        assert "pow" in parse_expression("(x - 1)^2.5").func.__code__.co_names
+        for x in (-2.5, 0.5, 3.0):
+            assert f(x).hex() == _power(abs(x - 1.0), 2.5).hex()
+        for text in ("(x - 1)^2.5", "(x - 1)^2", "x^abs(x)", "(abs(x)^2)^3"):
+            assert "pow" in parse_expression(text).func.__code__.co_names
 
     def test_power_of_abs_keeps_precedence(self):
         assert ev("-abs(x)^2", 3.0) == -9.0
