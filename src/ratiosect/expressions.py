@@ -219,6 +219,9 @@ class _Parser:
             raise self.error("expression nested too deeply", self.index - 1) from None
         if self.index < len(self.words) - 1:
             raise self.error(f"unexpected trailing input {self.found(self.index)}", self.index)
+        # The literals lead, for the partial to fill.  Positional-only
+        # parameters are the form Python's parser tries first, so the
+        # cheapest to compile.
         params = ", ".join([*self.params, "x", "/"])
         try:
             code = compile(f"lambda {params}: float({_source(node)})", "<expression>", "eval")

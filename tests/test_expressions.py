@@ -245,8 +245,8 @@ class TestCall:
             assert (repr(copied), copied(2.0)) == ("Expression('3*x + 4')", 10.0)
 
     def test_extra_positional_argument_raises(self):
-        # The literals lead and x is positional-only, so a second argument
-        # cannot stand in for a literal.
+        # The literals lead, so a second argument lands after x, with no
+        # parameter to take it.
         f = parse_expression("3*x + 4")
         with pytest.raises(TypeError):
             f(1.0, 2.0)
