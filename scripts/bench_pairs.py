@@ -6,7 +6,8 @@ Runs ``--pairs`` alternating parent/change pairs of every workload that
 with the side that runs first alternating from pair to pair.  Writes
 ``BENCH_<n>.json`` at the root of the change checkout: per end-to-end
 metric the medians, inclusive quartiles, the parent's IQR width, how many
-pairs the change won and every run's value, plus each run's correctness,
+pairs the change won, whether the change meets the gain rule and stays
+within the metric's bound, and every run's value, plus each run's correctness,
 failures and per-configuration evaluation totals.  ``--trace-pairs`` adds
 that many traced pairs (``--trace 1``, ``TRACE_SECONDS`` long) with every
 per-layer metric.
@@ -43,24 +44,38 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float) -> dict:
     """One metric over the pairs: ``parent[i]`` and ``change[i]`` are pair
     ``i``.  A pair is a win when the change is strictly better; a tie
-    counts for neither side."""
+    counts for neither side.
+
+    ``gain_rule_met``: the change wins at least 9 pairs in 10 and its
+    median moves the better way by more than the parent's IQR width.
+    ``within_bound``: the change's median is no worse than the parent's
+    by more than ``bound``, a fraction of the parent's median (the
+    metric's ``bound`` in ``BENCHMARK.json``).
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
     parent_iqr = quartiles(parent)
+    parent_iqr_width = parent_iqr[1] - parent_iqr[0]
+    gain = sign * (change_median - parent_median)
     return {
         "better": better,
-        "parent_median": statistics.median(parent),
-        "change_median": statistics.median(change),
+        "parent_median": parent_median,
+        "change_median": change_median,
         "parent_iqr": parent_iqr,
         "change_iqr": quartiles(change),
-        "parent_iqr_width": parent_iqr[1] - parent_iqr[0],
+        "parent_iqr_width": parent_iqr_width,
         "change_wins": wins,
         "ties": ties,
         "pairs": len(parent),
+        "gain_rule_met": 10 * wins >= 9 * len(parent) and gain > parent_iqr_width,
+        "bound": bound,
+        "within_bound": gain >= -bound * abs(parent_median),
         "parent_runs": list(parent),
         "change_runs": list(change),
     }
@@ -98,12 +113,14 @@ def run_pairs(trees: dict[str, Path], workloads: list[str], seeds: dict[str, lis
     return runs
 
 
-def workload_summary(pairs: list[dict], seconds: float, better: dict[str, str]) -> dict:
-    """One workload's pairs; ``better`` maps each end-to-end metric to
-    ``"higher"`` or ``"lower"``."""
+def workload_summary(pairs: list[dict], seconds: float,
+                     metric_specs: dict[str, dict]) -> dict:
+    """One workload's pairs; ``metric_specs`` maps each end-to-end metric to
+    its ``BENCHMARK.json`` entry (``better`` and ``bound`` are read)."""
     metrics = {name: summarize([p["parent"]["values"][name] for p in pairs],
-                               [p["change"]["values"][name] for p in pairs], way)
-               for name, way in better.items()}
+                               [p["change"]["values"][name] for p in pairs],
+                               spec["better"], spec["bound"])
+               for name, spec in metric_specs.items()}
     totals = {p["seed"]: p["parent"]["totals"] for p in pairs}
     out = {
         "seconds_per_run": seconds,
@@ -153,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metric_specs = {m["name"]: m for m in benchmark["end_to_end"]}
 
     seed = FIRST_SEED
     seeds, trace_seeds = {}, {}
@@ -170,12 +187,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"{platform.release()}, Python {platform.python_version()}",
         "metric_notes": "medians and quartiles (inclusive method) over the pairs; "
                         "change_wins counts pairs where the change is strictly better; "
-                        "ties count for neither side",
+                        "ties count for neither side; gain_rule_met: at least 9 wins in "
+                        "10 pairs and a median move beyond the parent's IQR width; "
+                        "within_bound: the change's median is no worse than the "
+                        "parent's by more than bound times the parent's median",
         "workloads": {},
     }
     runs = run_pairs(trees, workloads, seeds, seconds, trace=0)
     for w in workloads:
-        out["workloads"][w] = workload_summary(runs[w], seconds, better)
+        out["workloads"][w] = workload_summary(runs[w], seconds, metric_specs)
     if args.trace_pairs:
         traced = run_pairs(trees, workloads, trace_seeds, TRACE_SECONDS, trace=1)
         for w in workloads:

@@ -31,7 +31,12 @@ from .core import (
     SolveStatus,
     Tolerance,
 )
-from .section_search import RatioConfig, _ratio_section
+from .section_search import RatioConfig, _ordinate, _ratio_section
+
+_STRICT = FunctionClass.STRICT_INTERIOR
+_FLAT = FunctionClass.FLAT_BOTTOM
+_CONVERGED = SolveStatus.CONVERGED
+_BUDGET = SolveStatus.BUDGET_EXHAUSTED
 
 
 class CollinearPointsError(ValueError):
@@ -103,7 +108,7 @@ def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
     the flanks are the nearest strictly-greater points on each side, which
     gives the tightest bracket the transcript supports.
     """
-    best = min(points, key=lambda p: p.y)
+    best = min(points, key=_ordinate)
     left: Point2 | None = None
     right: Point2 | None = None
     for p in points:
@@ -161,13 +166,13 @@ def minimize_ratio_a(
     (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
     if bracket_log is not None:
         bracket_log.append((xl, xr))
-    status = SolveStatus.CONVERGED
+    status = _CONVERGED
     while True:
         tiny = epsilon * abs(xm) + floor
         if xr - xl <= 2.0 * tiny:
             break
         if len(transcript) + 1 > limit:
-            status = SolveStatus.BUDGET_EXHAUSTED
+            status = _BUDGET
             break
         r = _vertex(xl, yl, xm, ym, xr, yr)
         if r is None or not (xl < r < xr and abs(r - xm) >= tiny):
@@ -197,10 +202,6 @@ def minimize_ratio_a(
             bracket_log.append((xl, xr))
         # Plateau: equal ordinates on adjacent triple points.
         if yl == ym or ym == yr:
-            return MinimizeOutcome(
-                xm, ym, len(transcript) - start,
-                FunctionClass.FLAT_BOTTOM, SolveStatus.CONVERGED,
-            )
-    return MinimizeOutcome(
-        xm, ym, len(transcript) - start, FunctionClass.STRICT_INTERIOR, status,
-    )
+            return MinimizeOutcome(xm, ym, len(transcript) - start, _FLAT,
+                                   _CONVERGED)
+    return MinimizeOutcome(xm, ym, len(transcript) - start, _STRICT, status)

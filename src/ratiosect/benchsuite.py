@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .active_search import minimize_ratio_a
 from .brent import brent_m_minimize, brent_minimize
@@ -96,7 +97,8 @@ _DEFAULT_C = {"ratio-p": 0.2, "ratio-a": 1e-3, "brent-m": 0.2}
 
 @dataclass(frozen=True)
 class BenchFunction:
-    """One benchmark problem."""
+    """One benchmark problem; :func:`benchmark_function` builds each once,
+    with read-only ``reference_counts``."""
 
     fid: int
     expression: str
@@ -166,8 +168,9 @@ _REFERENCE_KEYS = {(spec.name, spec.effective_c): key
                    for key, spec in REFERENCE_CONFIGS.items()}
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
+    """One (method, id) cell of a :class:`BenchReport`: an immutable tuple."""
+
     method: str
     fid: int
     evaluations: int
@@ -221,20 +224,29 @@ def _load_fixtures() -> tuple[
     return functions, counts, minimizers
 
 
-def benchmark_function(fid: int) -> BenchFunction:
-    """Look up one of the 20 suite problems by id."""
+@lru_cache(maxsize=1)
+def _problems() -> dict[int, BenchFunction]:
     functions, counts, _ = _load_fixtures()
-    if fid not in functions:
+    return {
+        fid: BenchFunction(
+            fid=fid,
+            expression=expression,
+            interval=Interval(lo, hi),
+            class_label=FunctionClass(label),
+            reference_counts=MappingProxyType(dict(zip(COUNT_KEYS, counts[fid]))),
+            evaluator=_EVALUATORS[fid],
+        )
+        for fid, (lo, hi, label, expression) in functions.items()
+    }
+
+
+def benchmark_function(fid: int) -> BenchFunction:
+    """Look up one of the 20 suite problems by id; every call for an id
+    returns the same object."""
+    problem = _problems().get(fid)
+    if problem is None:
         raise ValueError(f"benchmark id must be 1..20, got {fid!r}")
-    lo, hi, label, expression = functions[fid]
-    return BenchFunction(
-        fid=fid,
-        expression=expression,
-        interval=Interval(lo, hi),
-        class_label=FunctionClass(label),
-        reference_counts=dict(zip(COUNT_KEYS, counts[fid])),
-        evaluator=_EVALUATORS[fid],
-    )
+    return problem
 
 
 def benchmark_suite() -> list[BenchFunction]:
@@ -251,6 +263,26 @@ def load_reference_minimizer(fid: int) -> ReferenceMinimizer:
     return ReferenceMinimizer(x=x, f=f, plateau=plateau)
 
 
+def _solver(spec: MethodSpec) -> tuple[Callable[..., MinimizeOutcome], tuple]:
+    """The solver ``spec`` selects and the arguments it takes after
+    ``(obj, interval, tol)``: none, or the ``RatioConfig``, positionally.
+
+    The solvers are looked up in this module's namespace on every call,
+    never in a table built at import, so a solver rebound here (as a
+    profiler does) is the one run.
+    """
+    solve = {
+        "bisect": minimize_bisection,
+        "golden": minimize_golden,
+        "ratio-p": minimize_ratio_p,
+        "ratio-a": minimize_ratio_a,
+        "brent": brent_minimize,
+        "brent-m": brent_m_minimize,
+    }[spec.name]
+    c = spec.effective_c
+    return solve, () if c is None else (RatioConfig(c),)
+
+
 def solve_one(
     spec: MethodSpec,
     obj: CountingObjective,
@@ -258,19 +290,8 @@ def solve_one(
     tol: Tolerance,
 ) -> MinimizeOutcome:
     """Run the solver selected by ``spec`` on one objective."""
-    if spec.name == "bisect":
-        return minimize_bisection(obj, interval, tol)
-    if spec.name == "golden":
-        return minimize_golden(obj, interval, tol)
-    if spec.name == "ratio-p":
-        return minimize_ratio_p(obj, interval, tol, RatioConfig(spec.effective_c))
-    if spec.name == "ratio-a":
-        return minimize_ratio_a(obj, interval, tol, RatioConfig(spec.effective_c))
-    if spec.name == "brent":
-        return brent_minimize(obj, interval, tol)
-    if spec.name == "brent-m":
-        return brent_m_minimize(obj, interval, tol, RatioConfig(spec.effective_c))
-    raise ValueError(f"unknown method {spec.name!r}")
+    solve, args = _solver(spec)
+    return solve(obj, interval, tol, *args)
 
 
 def run_benchmark(
@@ -290,18 +311,21 @@ def run_benchmark(
     problems = [benchmark_function(fid) for fid in ids]
     rows: list[BenchRow] = []
     for spec in methods:
+        solve, args = _solver(spec)
+        label = spec.label
         for bf in problems:
             obj = CountingObjective(bf.evaluator)
             try:
-                out = solve_one(spec, obj, bf.interval, tol)
+                out = solve(obj, bf.interval, tol, *args)
             except EvaluationError:
                 rows.append(BenchRow(
-                    spec.label, bf.fid, obj.count, math.nan, math.nan, "", "failed",
+                    label, bf.fid, obj.count, math.nan, math.nan, "", "failed",
                 ))
                 continue
+            # _value_ is the plain attribute behind an Enum's slower .value.
             rows.append(BenchRow(
-                spec.label, bf.fid, out.evaluations, out.x_min, out.f_min,
-                out.classification.value, out.status.value,
+                label, bf.fid, out.evaluations, out.x_min, out.f_min,
+                out.classification._value_, out.status._value_,
             ))
     totals: dict[str, int] = {}
     for row in rows:

@@ -39,6 +39,10 @@ from .core import (
 )
 from .section_search import RatioConfig
 
+_STRICT = FunctionClass.STRICT_INTERIOR
+_CONVERGED = SolveStatus.CONVERGED
+_BUDGET = SolveStatus.BUDGET_EXHAUSTED
+
 #: Fraction of the larger sub-interval taken by a golden fallback step,
 #: (3 - sqrt(5)) / 2.
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -76,13 +80,13 @@ def _brent(
     v, fv = x, fx
     d = 0.0
     e = 0.0
-    status = SolveStatus.CONVERGED
+    status = _CONVERGED
 
     while True:
         if stop_test(a, b, x, tol):
             break
         if len(transcript) + 1 > limit:
-            status = SolveStatus.BUDGET_EXHAUSTED
+            status = _BUDGET
             break
         m = halfway(a, b)
         tol1 = epsilon * abs(x) + floor
@@ -148,13 +152,7 @@ def _brent(
                 v, fv = u, fu
         if bracket_log is not None:
             bracket_log.append((a, b))
-    return MinimizeOutcome(
-        x_min=x,
-        f_min=fx,
-        evaluations=len(transcript) - start,
-        classification=FunctionClass.STRICT_INTERIOR,
-        status=status,
-    )
+    return MinimizeOutcome(x, fx, len(transcript) - start, _STRICT, status)
 
 
 def brent_minimize(

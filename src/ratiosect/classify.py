@@ -17,7 +17,9 @@ cases cheaply:
   variant asks of such a triple: abscissas more than ``2*e0`` apart.
 * :class:`Recognizer` — both rules over one solver run, fed the point
   each evaluation returns, at O(1) cost per evaluation.  The passive and
-  active ratio solvers and the modernized Brent variant all use it.
+  active ratio solvers and the modernized Brent variant all use it.  It
+  rejects a run whose ordinates do not look monotone itself, so it calls
+  :func:`detect_monotone` only on a monotone-looking run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .core import (
     Tolerance,
     e0,
 )
+
+_CONVERGED = SolveStatus.CONVERGED
+_FLAT = FunctionClass.FLAT_BOTTOM
+_INCREASING = FunctionClass.MONOTONE_INCREASING
+_DECREASING = FunctionClass.MONOTONE_DECREASING
 
 
 def detect_monotone(
@@ -77,11 +84,11 @@ def detect_monotone(
         # Minimum would sit at the left endpoint; probe it and a point one
         # tolerance step inside.  (All-equal ordinates land here as well:
         # either endpoint is then a valid minimizer.)
-        direction = FunctionClass.MONOTONE_INCREASING
+        direction = _INCREASING
         end = interval.lo
         inner = interval.lo + e0(tol, interval.lo)
     elif ys[::-1] == ordered:
-        direction = FunctionClass.MONOTONE_DECREASING
+        direction = _DECREASING
         end = interval.hi
         inner = interval.hi - e0(tol, interval.hi)
     else:
@@ -158,6 +165,13 @@ class Recognizer:
     evaluated only if the first, ``u``, has ``u.y <= min(ys)``, so a ``u``
     that completes a level has ``u.y == min(ys)``, and the check then
     rejects only if ``v.y < u.y``, below every level there is.
+
+    The check's free rejection is made here, without a call: when the
+    four points' ordinates, in abscissa order, are neither non-decreasing
+    nor non-increasing, the check ends.  So :func:`detect_monotone` runs
+    only on a monotone-looking run.  Skipping it skips no error it would
+    raise: the recognizer drops repeated abscissas, and every solver
+    evaluates only inside its interval.
     """
 
     def __init__(self, obj: CountingObjective, interval: Interval,
@@ -191,13 +205,16 @@ class Recognizer:
             else:
                 xs.append(x)
                 if not self.spaced or separated_count(xs, self.tol) >= 3:
-                    return self._outcome(FunctionClass.FLAT_BOTTOM, distinct[rank])
+                    return self._outcome(_FLAT, distinct[rank])
         return self._monotone() if n == 3 else None
 
     def _monotone(self) -> MinimizeOutcome | None:
         obj = self.obj
         count = obj.count
         if count - self.start + 2 > self.tol.max_evaluations:
+            return None
+        (_, y0), (_, y1), (_, y2), (_, y3) = sorted(self.distinct)
+        if not (y0 <= y1 <= y2 <= y3 or y0 >= y1 >= y2 >= y3):
             return None
         verdict = detect_monotone(self.distinct, self.interval, obj, self.tol)
         if verdict is not None:
@@ -209,4 +226,4 @@ class Recognizer:
 
     def _outcome(self, cls: FunctionClass, p: Point2) -> MinimizeOutcome:
         return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
-                               SolveStatus.CONVERGED)
+                               _CONVERGED)

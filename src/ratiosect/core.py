@@ -39,6 +39,9 @@ class SolveStatus(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+_CONVERGED = SolveStatus.CONVERGED
+
+
 class EvaluationError(ValueError):
     """The objective failed to produce a finite value.
 
@@ -194,10 +197,13 @@ class CountingObjective:
         return point
 
 
-@dataclass(frozen=True)
-class MinimizeOutcome:
+class MinimizeOutcome(NamedTuple):
     """What a solver hands back: the minimizer, its value, the cost, and
-    the function-class verdict."""
+    the function-class verdict.
+
+    An immutable tuple, like :class:`Point2`: it compares equal to a plain
+    tuple of the same fields, and ``_replace`` gives a modified copy.
+    """
 
     x_min: float
     f_min: float
@@ -207,4 +213,4 @@ class MinimizeOutcome:
 
     @property
     def converged(self) -> bool:
-        return self.status is SolveStatus.CONVERGED
+        return self.status is _CONVERGED

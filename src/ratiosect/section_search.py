@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, TypeVar
 
 from .classify import Recognizer
@@ -41,6 +42,11 @@ from .core import (
 )
 
 _T = TypeVar("_T")
+
+_STRICT = FunctionClass.STRICT_INTERIOR
+_CONVERGED = SolveStatus.CONVERGED
+_BUDGET = SolveStatus.BUDGET_EXHAUSTED
+_ordinate = itemgetter(1)
 
 #: Golden-section contraction factor, (sqrt(5) - 1) / 2.
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,7 +99,7 @@ def minimize_bisection(
     # Read once per solve; the loop uses them on every probe pair.
     epsilon, floor = tol.epsilon, tol.floor
     transcript, limit = obj.transcript, start + tol.max_evaluations
-    status = SolveStatus.CONVERGED
+    status = _CONVERGED
     # The earliest lowest point so far (bx, by), and the ordinates at a
     # and b (None while that end is still an unevaluated interval end).
     bx = by = ya = yb = None
@@ -102,7 +108,7 @@ def minimize_bisection(
         if stop_test(a, b, mid, tol):
             break
         if len(transcript) + 2 > limit:
-            status = SolveStatus.BUDGET_EXHAUSTED
+            status = _BUDGET
             break
         delta = 0.5 * (epsilon * abs(mid) + floor)
         x1, x2 = mid - delta, mid + delta
@@ -128,13 +134,7 @@ def minimize_bisection(
         # Converged before spending anything (degenerate-tiny input
         # interval): spend one evaluation so f_min is meaningful.
         bx, by = obj.evaluate(halfway(a, b))
-    return MinimizeOutcome(
-        x_min=bx,
-        f_min=by,
-        evaluations=obj.count - start,
-        classification=FunctionClass.STRICT_INTERIOR,
-        status=status,
-    )
+    return MinimizeOutcome(bx, by, obj.count - start, _STRICT, status)
 
 
 def minimize_golden(
@@ -152,20 +152,17 @@ def minimize_golden(
         bracket_log.append((a, b))
     if tol.max_evaluations < 2:
         p = obj.evaluate(halfway(a, b))
-        return MinimizeOutcome(
-            p.x, p.y, obj.count - start, FunctionClass.STRICT_INTERIOR,
-            SolveStatus.BUDGET_EXHAUSTED,
-        )
+        return MinimizeOutcome(p.x, p.y, obj.count - start, _STRICT, _BUDGET)
     x1, x2 = _golden_pair(a, b)
     y1 = obj.evaluate(x1).y
     y2 = obj.evaluate(x2).y
     transcript, limit = obj.transcript, start + tol.max_evaluations
-    status = SolveStatus.CONVERGED
+    status = _CONVERGED
     while True:
         if stop_test(a, b, x1 if y1 <= y2 else x2, tol):
             break
         if len(transcript) + 1 > limit:
-            status = SolveStatus.BUDGET_EXHAUSTED
+            status = _BUDGET
             break
         # The width can still overflow after the first cuts of a bracket
         # wider than about 2.9e308.  The finite case stays inline: a call
@@ -185,14 +182,8 @@ def minimize_golden(
         if bracket_log is not None:
             bracket_log.append((a, b))
     # min() keeps the earliest point on ordinate ties.
-    best = min(obj.transcript[start:], key=lambda p: p.y)
-    return MinimizeOutcome(
-        x_min=best.x,
-        f_min=best.y,
-        evaluations=obj.count - start,
-        classification=FunctionClass.STRICT_INTERIOR,
-        status=status,
-    )
+    bx, by = min(obj.transcript[start:], key=_ordinate)
+    return MinimizeOutcome(bx, by, obj.count - start, _STRICT, status)
 
 
 def _ratio_section(
@@ -220,12 +211,12 @@ def _ratio_section(
     transcript, limit = obj.transcript, start + tol.max_evaluations
     mx, my = first = evaluate(halfway(a, b))
     observe(first)  # one point: nothing to recognize yet
-    status = SolveStatus.CONVERGED
+    status = _CONVERGED
     while True:
         if stop_test(a, b, mx, tol):
             break
         if len(transcript) + 1 > limit:
-            status = SolveStatus.BUDGET_EXHAUSTED
+            status = _BUDGET
             break
         if b - mx >= mx - a:
             px = c * b + (1.0 - c) * mx
@@ -257,9 +248,7 @@ def _ratio_section(
             b = px
         if bracket_log is not None:
             bracket_log.append((a, b))
-    return MinimizeOutcome(
-        mx, my, len(transcript) - start, FunctionClass.STRICT_INTERIOR, status,
-    )
+    return MinimizeOutcome(mx, my, len(transcript) - start, _STRICT, status)
 
 
 def minimize_ratio_p(

@@ -8,7 +8,7 @@ pairs_script = load_script("bench_pairs")
 def test_summary_of_a_higher_is_better_metric():
     parent = [10.0, 12.0, 11.0, 13.0, 9.0]
     change = [11.0, 12.0, 10.0, 14.0, 12.0]
-    assert pairs_script.summarize(parent, change, "higher") == {
+    assert pairs_script.summarize(parent, change, "higher", 0.25) == {
         "better": "higher",
         "parent_median": 11.0,
         "change_median": 12.0,
@@ -18,13 +18,17 @@ def test_summary_of_a_higher_is_better_metric():
         "change_wins": 3,
         "ties": 1,
         "pairs": 5,
+        "gain_rule_met": False,
+        "bound": 0.25,
+        "within_bound": True,
         "parent_runs": parent,
         "change_runs": change,
     }
 
 
 def test_summary_of_a_lower_is_better_metric_interpolates_quartiles():
-    summary = pairs_script.summarize([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 4.0, 3.0], "lower")
+    summary = pairs_script.summarize([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 4.0, 3.0], "lower",
+                                     0.1)
     assert summary["parent_median"] == 2.5
     assert summary["parent_iqr"] == [1.75, 3.25]
     assert summary["parent_iqr_width"] == 1.5
@@ -33,13 +37,56 @@ def test_summary_of_a_lower_is_better_metric_interpolates_quartiles():
 
 
 def test_summary_of_one_pair():
-    summary = pairs_script.summarize([5.0], [4.0], "lower")
+    summary = pairs_script.summarize([5.0], [4.0], "lower", 0.1)
     assert summary["parent_iqr"] == [5.0, 5.0]
     assert summary["parent_iqr_width"] == 0.0
     assert summary["change_wins"] == 1
 
 
-BETTER = {"solves_per_s": "higher", "us_per_eval": "lower"}
+PARENT_10 = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize("better, move, wins, met", [
+    # The median moves 5.0 against a parent IQR width of 4.5.
+    ("higher", 5.0, 10, True),
+    ("lower", 5.0, 10, True),
+    # Nine wins in ten pairs are enough.
+    ("higher", 5.0, 9, True),
+    # Eight are not, however far the median moves.
+    ("higher", 50.0, 8, False),
+    # Ten wins, but a median move of 4.0 is inside the IQR width.
+    ("lower", 4.0, 10, False),
+    # Every pair lost.
+    ("higher", 5.0, 0, False),
+])
+def test_gain_rule_needs_nine_wins_in_ten_and_a_move_beyond_the_iqr(
+        better, move, wins, met):
+    step = move if better == "higher" else -move
+    # The change loses the first 10 - wins pairs and wins the rest.
+    change = [p - step if i < 10 - wins else p + step
+              for i, p in enumerate(PARENT_10)]
+    summary = pairs_script.summarize(PARENT_10, change, better, 0.25)
+    assert summary["parent_iqr_width"] == 4.5
+    assert summary["change_wins"] == wins
+    assert summary["gain_rule_met"] is met
+
+
+@pytest.mark.parametrize("better, change_median, within", [
+    ("higher", 80.0, True),   # 20 % worse against a 25 % bound
+    ("higher", 75.0, True),   # exactly at the bound
+    ("higher", 74.0, False),
+    ("higher", 130.0, True),  # better is always within
+    ("lower", 125.0, True),
+    ("lower", 126.0, False),
+    ("lower", 50.0, True),
+])
+def test_within_bound_is_relative_to_the_parent_median(better, change_median, within):
+    summary = pairs_script.summarize([100.0] * 3, [change_median] * 3, better, 0.25)
+    assert summary["within_bound"] is within
+
+
+BETTER = {"solves_per_s": {"better": "higher", "bound": 0.25},
+          "us_per_eval": {"better": "lower", "bound": 0.25}}
 
 
 def _run(value, totals, correct=True):
@@ -59,6 +106,8 @@ def test_workload_summary_folds_equal_totals(same_totals):
     assert out["correct_all_runs"] and out["config_totals_identical_in_every_pair"]
     assert out["metrics"]["solves_per_s"]["change_wins"] == 2
     assert out["metrics"]["us_per_eval"]["change_wins"] == 0
+    assert out["metrics"]["solves_per_s"]["within_bound"]
+    assert not out["metrics"]["us_per_eval"]["within_bound"]
     if same_totals:
         assert out["config_evaluation_totals_one_pass"] == {"bisect": 10}
     else:

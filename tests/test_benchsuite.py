@@ -4,20 +4,25 @@ from collections import Counter
 
 import pytest
 
+from ratiosect import benchsuite
 from ratiosect.benchsuite import (
     COUNT_KEYS,
+    METHOD_NAMES,
     REFERENCE_CONFIGS,
     BenchFunction,
+    BenchRow,
     MethodSpec,
     benchmark_function,
     benchmark_suite,
     load_reference_minimizer,
     reference_minimizer,
     run_benchmark,
+    solve_one,
     sweep_ratio_a_exponent,
     sweep_ratio_c,
 )
-from ratiosect.core import FunctionClass, Tolerance
+from ratiosect.core import CountingObjective, FunctionClass, Interval, Tolerance
+from ratiosect.section_search import RatioConfig
 
 from conftest import DATA_DIR, load_script
 
@@ -39,6 +44,78 @@ def test_suite_has_twenty_problems():
         assert bf.interval.lo < bf.interval.hi
         assert set(bf.reference_counts) == set(COUNT_KEYS)
         assert all(v > 0 for v in bf.reference_counts.values())
+
+
+def test_each_problem_is_built_once_with_read_only_counts():
+    for fid in range(1, 21):
+        bf = benchmark_function(fid)
+        assert benchmark_function(fid) is bf
+        with pytest.raises(TypeError):
+            bf.reference_counts["bisect"] = 0
+    assert [bf.fid for bf in benchmark_suite()] == list(range(1, 21))
+
+
+def test_bench_row_is_an_immutable_tuple_with_the_dataclass_repr():
+    row = BenchRow("bisect", 1, 34, 0.5, 1.0, "strict_interior", "converged")
+    for field in ("evaluations", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, 0)
+    assert repr(row) == (
+        "BenchRow(method='bisect', fid=1, evaluations=34, x_min=0.5, "
+        "f_min=1.0, classification='strict_interior', status='converged')")
+
+
+#: Solver name in benchsuite's namespace, per MethodSpec name.
+SOLVER_NAMES = {
+    "bisect": "minimize_bisection",
+    "golden": "minimize_golden",
+    "ratio-p": "minimize_ratio_p",
+    "ratio-a": "minimize_ratio_a",
+    "brent": "brent_minimize",
+    "brent-m": "brent_m_minimize",
+}
+
+
+def test_solvers_rebound_in_the_namespace_are_the_ones_called(monkeypatch):
+    # A profiler wraps the solvers by rebinding these names after import,
+    # and reads a ratio-taking solver's RatioConfig as its fourth
+    # positional argument.
+    calls = []
+
+    def spy(name):
+        original = getattr(benchsuite, name)
+
+        def wrapper(obj, interval, tol, *args, **kwargs):
+            calls.append((name, args, kwargs))
+            return original(obj, interval, tol, *args, **kwargs)
+        monkeypatch.setattr(benchsuite, name, wrapper)
+
+    for name in SOLVER_NAMES.values():
+        spy(name)
+    run_benchmark([MethodSpec(m) for m in METHOD_NAMES], [12, 20])
+    assert [name for name, _, _ in calls] == [
+        SOLVER_NAMES[m] for m in METHOD_NAMES for _ in (12, 20)]
+    assert [args for _, args, _ in calls[::2]] == [
+        (), (), (RatioConfig(0.2),), (RatioConfig(1e-3),), (), (RatioConfig(0.2),)]
+    assert all(kwargs == {} for _, _, kwargs in calls)
+
+    calls.clear()
+    solve_one(MethodSpec("brent-m", 0.3), CountingObjective(lambda x: x * x),
+              Interval(-1.0, 2.0), Tolerance())
+    solve_one(MethodSpec("golden"), CountingObjective(lambda x: x * x),
+              Interval(-1.0, 2.0), Tolerance())
+    assert calls == [("brent_m_minimize", (RatioConfig(0.3),), {}),
+                     ("minimize_golden", (), {})]
+
+    calls.clear()
+    sweep_ratio_c([12], 0.25, 0.75, 0.25, fit_degree=1)
+    assert calls == [("minimize_ratio_p", (RatioConfig(c),), {})
+                     for c in (0.25, 0.5, 0.75)]
+
+    calls.clear()
+    sweep_ratio_a_exponent([12], -4, -3)
+    assert calls == [("minimize_ratio_a", (RatioConfig(10.0 ** (j / 2.0)),), {})
+                     for j in (-4, -3)]
 
 
 def test_class_label_distribution():

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ratiosect import classify
 from ratiosect.classify import (
     Recognizer,
     detect_flat_bottom,
@@ -226,6 +229,33 @@ def test_recognizer_runs_monotone_check_on_four_distinct_abscissas():
     assert out.classification is FunctionClass.MONOTONE_INCREASING
     # Five fed points, then the two endpoint probes.
     assert (out.x_min, out.evaluations) == (0.0, 7)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4, unique=True),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-5.0, 5.0),
+             min_size=4, max_size=4),
+)
+def test_recognizer_free_rejection_matches_detect_monotone(xs, ys):
+    # Four points with distinct abscissas inside the interval.  No level
+    # holds three of them, so the flat-bottom rule cannot answer first.
+    assume(max(Counter(ys).values()) < 3)
+    points = pts(*zip(xs, ys))
+    interval = Interval(-10.0, 10.0)
+    reference = CountingObjective(lambda x: 0.0)
+    free = detect_monotone(points, interval, reference, TOL) is None
+    free = free and reference.count == 0
+    obj = CountingObjective(lambda x: 0.0)
+    recognizer = Recognizer(obj, interval, TOL)
+    with mock.patch.object(classify, "detect_monotone",
+                           wraps=detect_monotone) as spy:
+        out = feed(recognizer, obj, points)
+    # The recognizer rejects by itself exactly the runs detect_monotone
+    # would reject without a probe, and hands it every other run.
+    assert spy.called is not free
+    if free:
+        assert out is None and obj.count == 4
 
 
 # ------------------------------------------------------------------ monotone

@@ -293,3 +293,17 @@ def test_outcome_converged_flag():
     bad = MinimizeOutcome(0.0, 0.0, 5, FunctionClass.STRICT_INTERIOR,
                           SolveStatus.BUDGET_EXHAUSTED)
     assert good.converged and not bad.converged
+
+
+def test_outcome_is_an_immutable_tuple_with_the_dataclass_repr():
+    out = MinimizeOutcome(0.5, 1.0, 5, FunctionClass.STRICT_INTERIOR,
+                          SolveStatus.CONVERGED)
+    for field in ("x_min", "status", "converged", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(out, field, 0.0)
+    assert repr(out) == (
+        "MinimizeOutcome(x_min=0.5, f_min=1.0, evaluations=5, "
+        "classification=<FunctionClass.STRICT_INTERIOR: 'strict_interior'>, "
+        "status=<SolveStatus.CONVERGED: 'converged'>)")
+    assert out == (0.5, 1.0, 5, FunctionClass.STRICT_INTERIOR, SolveStatus.CONVERGED)
+    assert out._replace(evaluations=6).evaluations == 6
