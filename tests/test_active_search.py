@@ -230,21 +230,22 @@ _ANY_CONFIGURATION = given(
 def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
                              where, power):
     """Run ``solve`` on one draw: it raises nothing but EvaluationError,
-    returns a point of the interval, and nests each logged bracket inside
-    the one before it.  Returns the bracket log."""
+    returns a point of the interval after counting every evaluation within
+    the budget, and nests each logged bracket inside the one before it.
+    Returns the bracket log."""
     lo, hi = min(ends), max(ends)
     v = lo * (1.0 - where) + hi * where
     interval = Interval(lo, hi)
     tol = Tolerance(epsilon, floor, budget)
     log: list[tuple[float, float]] = []
+    obj = CountingObjective(lambda x: a * abs(x - v) ** power)
     try:
-        out = solve(
-            CountingObjective(lambda x: a * abs(x - v) ** power), interval,
-            tol, RatioConfig(c), log)
+        out = solve(obj, interval, tol, RatioConfig(c), log)
     except EvaluationError:
         out = None
     if out is not None:
         assert out.x_min in interval
+        assert out.evaluations == obj.count <= budget
     for (lo0, hi0), (lo1, hi1) in zip(log, log[1:]):
         assert lo0 <= lo1 <= hi1 <= hi0
     return log

@@ -123,6 +123,30 @@ def test_solvers_near_max_float_converge(method):
     assert abs(out.x_min - 0.95e308) <= 2.0 * e0(Tolerance(), 0.95e308)
 
 
+_CONVERGES_AT = {"brent": 6, "brent-m": 7}
+
+
+@pytest.mark.parametrize("budget", range(1, 10))
+@pytest.mark.parametrize("method", _METHODS)
+def test_budget_edges(method, budget):
+    # Where each solver stops on (x - 0.3)^2 over [0, 1] under a small
+    # budget.  Bisection spends in pairs; with room for none it spends
+    # one evaluation at the midpoint, as golden does with no room for its
+    # first pair.  The stop test runs before the budget test, so the two
+    # Brent solvers report converged on their last allowed probe.
+    obj = CountingObjective(lambda x: (x - 0.3) ** 2)
+    out = solve_one(MethodSpec(method), obj, Interval(0.0, 1.0),
+                    Tolerance(max_evaluations=budget))
+    spent = (budget // 2 * 2 or 1) if method == "bisect" else budget
+    status = SolveStatus.BUDGET_EXHAUSTED
+    if budget >= _CONVERGES_AT.get(method, 10):
+        spent, status = _CONVERGES_AT[method], SolveStatus.CONVERGED
+    assert (out.evaluations, out.status) == (spent, status)
+    assert obj.count == spent
+    if budget == 1 and method in ("bisect", "golden"):
+        assert out.x_min == 0.5
+
+
 @pytest.mark.parametrize("method", _METHODS)
 def test_solvers_stay_inside_interval_whose_sum_overflows(method):
     # Brent's infinite midpoint sent every tol1 step right, past b: both
