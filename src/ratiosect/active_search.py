@@ -1,42 +1,38 @@
 """Active ratio-section search: parabolic steps with ratio-section guards.
 
-The passive solvers in :mod:`~ratiosect.section_search` contract the
-uncertainty interval by a fixed factor regardless of what the ordinates
-look like.  The active variant here exploits them: once three evaluated
-points bracket a minimum (lower middle ordinate), each iteration jumps to
-the vertex of the interpolating parabola — successive parabolic
-interpolation — and falls back to a ratio-section probe whenever the
-vertex is unusable.  A small ratio ``c`` (default ``1e-3``) places the
-fallback probe just off the current best point, which is what makes the
-fallback cheap.
+The passive solvers of :mod:`~ratiosect.section_search` contract the
+interval by a fixed factor whatever the ordinates look like.  The active
+variant exploits them: once three evaluated points bracket a minimum,
+each step jumps to the vertex of the interpolating parabola and falls
+back to a ratio-section probe, a small ratio ``c`` (default ``1e-3``) off
+the best point, whenever the vertex is unusable.
 
-The bootstrap phase is the passive solver's own loop in bisection mode
-(``c = 0.5``), recognizers included, so degenerate targets finish as fast
-as they do under the passive method.
-
-The parabolic phase runs on six floats, not on :class:`BracketTriple`
-objects, with the vertex formula that :func:`parabola_vertex` wraps.
+It is one step generator, run by the private driver of
+:mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
+steps at ``c = 0.5``, recognizers included, so degenerate targets finish
+as fast.  Phase 2 runs on six floats, with :func:`parabola_vertex`'s
+formula, and yields each probe as a batch of one, unseen by the recognizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
+from .classify import Recognizer
 from .core import (
     CountingObjective,
     FunctionClass,
     Interval,
     MinimizeOutcome,
     Point2,
-    SolveStatus,
     Tolerance,
+    _drive,
 )
-from .section_search import RatioConfig, _ordinate, _ratio_section
+from .section_search import RatioConfig, _ratio_section
 
 _STRICT = FunctionClass.STRICT_INTERIOR
 _FLAT = FunctionClass.FLAT_BOTTOM
-_CONVERGED = SolveStatus.CONVERGED
-_BUDGET = SolveStatus.BUDGET_EXHAUSTED
 
 
 class CollinearPointsError(ValueError):
@@ -102,13 +98,10 @@ def parabola_vertex(t: BracketTriple) -> float:
 
 
 def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
-    """Search the run's points (one per abscissa) for a bracketing triple.
-
-    The candidate middle is the best point seen so far (earliest on ties);
-    the flanks are the nearest strictly-greater points on each side, which
-    gives the tightest bracket the transcript supports.
-    """
-    best = min(points, key=_ordinate)
+    """Search the run's points (one per abscissa) for a bracketing triple:
+    the best point (earliest on ties) and the nearest strictly greater
+    point on each side, the tightest bracket the points support."""
+    best = min(points, key=itemgetter(1))
     left: Point2 | None = None
     right: Point2 | None = None
     for p in points:
@@ -123,56 +116,33 @@ def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
     return BracketTriple(left, best, right)
 
 
-def minimize_ratio_a(
-    obj: CountingObjective,
-    interval: Interval,
-    tol: Tolerance,
-    cfg: RatioConfig | None = None,
-    *,
-    bracket_log: list[tuple[float, float]] | None = None,
-) -> MinimizeOutcome:
-    """Active ratio-section search (parabolic steps, ratio fallbacks).
-
-    Phase 1 is the loop of
-    :func:`~ratiosect.section_search.minimize_ratio_p` at ``c = 0.5``, its
-    recognizers and tie rule included, run until the run's points (one
-    per abscissa) contain a bracketing triple.  Phase 2 then iterates:
-    take the parabola vertex if it is defined, lies strictly inside the
-    bracket and is at least ``e0`` away from the current best point;
-    otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward the
-    farther bracket endpoint ``s`` (never closer to ``mid`` than
-    ``e0``).  Two adjacent triple points sharing an ordinate classify the
-    target as flat-bottomed; the run converges when the bracket width
-    drops to ``2*e0``.
-
-    Phase 2 keeps the triple in six floats, validated once at the
-    hand-over.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly
-    lowest: the probe lies inside ``(xl, xr)`` at least ``e0`` from
-    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom
-    (as when a clamped probe rounds back onto ``xm``).
-    """
-    if cfg is None:
-        cfg = RatioConfig(1e-3)
-    start = obj.count
-    # --- Phase 1: ratio-p's loop at c = 0.5, until a bracketing triple ---
-    triple = _ratio_section(obj, interval, tol, 0.5, bracket_log, _scan_for_triple)
-    if isinstance(triple, MinimizeOutcome):
-        return triple
+def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2],
+             bracket_log: list[tuple[float, float]] | None):
+    """The steps of :func:`minimize_ratio_a`; ``distinct`` is the run's
+    points, one per abscissa, as the recognizer keeps them."""
+    # --- Phase 1: ratio-p's steps at c = 0.5, until a bracketing triple ---
+    # Passed on one at a time, as the triple test falls between the
+    # recognizer's and phase 1's next stop test.
+    phase1 = _ratio_section(interval, tol, 0.5, bracket_log)
+    x = next(phase1)
+    while True:
+        point = yield x
+        if (triple := _scan_for_triple(distinct)) is not None:
+            break
+        try:
+            x = phase1.send(point)
+        except StopIteration as stop:
+            return stop.value
 
     # --- Phase 2: successive parabolic interpolation with guards --------
     # Read once per solve; the loop uses them on every probe.
-    epsilon, floor, c = tol.epsilon, tol.floor, cfg.c
-    transcript, limit = obj.transcript, start + tol.max_evaluations
+    epsilon, floor = tol.epsilon, tol.floor
     (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
     if bracket_log is not None:
         bracket_log.append((xl, xr))
-    status = _CONVERGED
     while True:
         tiny = epsilon * abs(xm) + floor
         if xr - xl <= 2.0 * tiny:
-            break
-        if len(transcript) + 1 > limit:
-            status = _BUDGET
             break
         r = _vertex(xl, yl, xm, ym, xr, yr)
         if r is None or not (xl < r < xr and abs(r - xm) >= tiny):
@@ -182,11 +152,13 @@ def minimize_ratio_a(
             r = c * s + (1.0 - c) * xm
             if abs(r - xm) < tiny:
                 r = xm + tiny if s > xm else xm - tiny
-            if not xl < r < xr:
-                # The displacement guard leaves no admissible abscissa
-                # inside the bracket: it is already at resolution.
-                break
-        y = obj.evaluate(r).y
+        # A batch of one, so the recognizer does not see it.  The
+        # displacement guard can leave no admissible abscissa inside the
+        # bracket (the empty batch): it is already at resolution.
+        points = yield (r,) if xl < r < xr else ()
+        if not points:
+            break
+        y = points[0][1]
 
         if y < ym:
             if r < xm:
@@ -202,6 +174,33 @@ def minimize_ratio_a(
             bracket_log.append((xl, xr))
         # Plateau: equal ordinates on adjacent triple points.
         if yl == ym or ym == yr:
-            return MinimizeOutcome(xm, ym, len(transcript) - start, _FLAT,
-                                   _CONVERGED)
-    return MinimizeOutcome(xm, ym, len(transcript) - start, _STRICT, status)
+            return xm, ym, _FLAT
+    return xm, ym, _STRICT
+
+
+def minimize_ratio_a(
+    obj: CountingObjective,
+    interval: Interval,
+    tol: Tolerance,
+    cfg: RatioConfig | None = None,
+    *,
+    bracket_log: list[tuple[float, float]] | None = None,
+) -> MinimizeOutcome:
+    """Active ratio-section search (parabolic steps, ratio fallbacks).
+
+    Phase 1 is :func:`~ratiosect.section_search.minimize_ratio_p` at
+    ``c = 0.5``, its recognizers and tie rule included, until the run's
+    points (one per abscissa) contain a bracketing triple, which is
+    validated once.  Phase 2 then takes the parabola vertex if it is
+    defined, lies strictly inside the bracket and is at least ``e0`` from
+    the best point; otherwise a ratio probe ``r = c*s + (1-c)*mid.x``
+    toward the farther bracket end ``s``, never closer to ``mid`` than
+    ``e0``.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly lowest;
+    two adjacent triple points sharing an ordinate (as when a clamped probe
+    rounds back onto ``xm``) classify the target as flat-bottomed, and the
+    run converges when the bracket width drops to ``2*e0``.
+    """
+    c = 1e-3 if cfg is None else cfg.c
+    recognizer = Recognizer(obj, interval, tol)
+    return _drive(obj, tol, _ratio_a(interval, tol, c, recognizer.distinct,
+                                     bracket_log), recognizer)

@@ -2,24 +2,19 @@
 
 :func:`brent_minimize` is the classical combined method: successive
 parabolic interpolation through the three best points, guarded by
-golden-section steps whenever the parabola is untrustworthy (vertex out of
-bounds, or a step not smaller than half the second-to-last step).
+golden-section steps whenever the parabola is untrustworthy.
+:func:`brent_m_minimize` takes ratio-section steps ``d = c*e`` instead and
+lets the recognizers of :mod:`~ratiosect.classify` watch its run, so
+constants finish in 3 evaluations and monotone targets in 6 with the
+exact endpoint (classical Brent grinds through dozens of evaluations on
+those and stops short of a monotone target's endpoint by up to ``3*e0``).
 
-:func:`brent_m_minimize` is the modernized variant with two changes: the
-golden fallback ``d = g*e`` becomes the ratio-section step ``d = c*e``,
-and the fast recognizers from :mod:`~ratiosect.classify` run on the
-transcript, so constants finish in 3 evaluations and monotone targets in
-6 with the exact endpoint result (classical Brent grinds through dozens
-of evaluations on those and, for monotone targets, stops short of the
-endpoint by up to ``3*e0``).
-
-Both solvers run one loop, the private ``_brent``, which takes the
-fallback ratio and the recognizer as arguments.  With ``c`` equal to the
-golden step constant and the recognizers disabled, the variant therefore
-reproduces the classical transcript bit for bit (the C8 acceptance gate
-checks this); the independent anchor for the loop is
-``test_brent_transcript_matches_scipy_fminbound``, which compares the
-classical transcripts with scipy's bounded minimizer.
+Both are one step generator, ``_brent``, which takes the fallback ratio
+and which the private driver of :mod:`~ratiosect.core` runs, with the
+variant's recognizer or none.  So with ``c`` equal to the golden step
+constant and no recognizers the variant reproduces the classical
+transcript bit for bit (acceptance criterion C8); a scipy comparison
+test anchors the classical transcripts.
 """
 
 from __future__ import annotations
@@ -32,62 +27,42 @@ from .core import (
     FunctionClass,
     Interval,
     MinimizeOutcome,
-    SolveStatus,
     Tolerance,
+    _drive,
     halfway,
     stop_test,
 )
 from .section_search import RatioConfig
 
 _STRICT = FunctionClass.STRICT_INTERIOR
-_CONVERGED = SolveStatus.CONVERGED
-_BUDGET = SolveStatus.BUDGET_EXHAUSTED
 
 #: Fraction of the larger sub-interval taken by a golden fallback step,
 #: (3 - sqrt(5)) / 2.
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _brent(
-    obj: CountingObjective,
-    interval: Interval,
-    tol: Tolerance,
-    c: float,
-    recognizer: Recognizer | None,
-    bracket_log: list[tuple[float, float]] | None,
-) -> MinimizeOutcome:
-    """The Brent loop of both solvers: fallback steps ``d = c*e``, and
-    the run's outcome as soon as ``recognizer`` (if any) recognizes it."""
+def _brent(interval: Interval, tol: Tolerance, c: float,
+           bracket_log: list[tuple[float, float]] | None):
+    """The steps of both Brent solvers, with fallback steps ``d = c*e``."""
     a, b = interval.lo, interval.hi
-    start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
-    # Read and bound once per solve; the loop uses them on every probe.
+    # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
-    transcript, limit = obj.transcript, start + tol.max_evaluations
-    evaluate = obj.evaluate
-    observe = None if recognizer is None else recognizer.observe
     if math.isfinite(b - a):
         x = a + GOLDEN_STEP * (b - a)
     else:
         # b - a overflows: take the step from the half-width, twice.
         step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
         x = a + step + step
-    x, fx = point = evaluate(x)
-    if observe is not None and (early := observe(point)) is not None:
-        return early
+    # Every budget has room for the first probe.
+    x, fx = yield x
     w, fw = x, fx
     v, fv = x, fx
     d = 0.0
     e = 0.0
-    status = _CONVERGED
 
-    while True:
-        if stop_test(a, b, x, tol):
-            break
-        if len(transcript) + 1 > limit:
-            status = _BUDGET
-            break
+    while not stop_test(a, b, x, tol):
         m = halfway(a, b)
         tol1 = epsilon * abs(x) + floor
         t2 = 2.0 * tol1
@@ -127,10 +102,10 @@ def _brent(
             u = x + d if d - d == 0.0 else x + half + half
         else:
             u = x + (tol1 if d > 0.0 else -tol1)
-        point = evaluate(u)
-        if observe is not None and (early := observe(point)) is not None:
-            return early
-        fu = point.y
+        point = yield u
+        if point is None:
+            break
+        fu = point[1]
 
         if fu <= fx:
             if u < x:
@@ -152,7 +127,7 @@ def _brent(
                 v, fv = u, fu
         if bracket_log is not None:
             bracket_log.append((a, b))
-    return MinimizeOutcome(x, fx, len(transcript) - start, _STRICT, status)
+    return x, fx, _STRICT
 
 
 def brent_minimize(
@@ -171,7 +146,7 @@ def brent_minimize(
     taken.  Every probe is kept at least ``e0(x)`` away from ``x``.  No
     classification is attempted: the verdict is always ``strict_interior``.
     """
-    return _brent(obj, interval, tol, GOLDEN_STEP, None, bracket_log)
+    return _drive(obj, tol, _brent(interval, tol, GOLDEN_STEP, bracket_log))
 
 
 def brent_m_minimize(
@@ -185,12 +160,9 @@ def brent_m_minimize(
 ) -> MinimizeOutcome:
     """Brent minimization with ratio-section fallbacks and recognizers.
 
-    Identical to :func:`brent_minimize` except that (i) the fallback step
-    is ``d = c*e`` (default ``c = 0.2``), (ii) a
-    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
-    bottom after every evaluation, and (iii) runs the monotone recognizer
-    once when the run first holds four distinct abscissas.  Pass
-    ``use_recognizers=False`` to strip (ii) and (iii).
+    Identical to :func:`brent_minimize` except that the fallback step is
+    ``d = c*e`` (default ``c = 0.2``) and, unless ``use_recognizers`` is
+    false, a :class:`~ratiosect.classify.Recognizer` watches the run.
 
     The recognizer runs in its ``spaced`` flavour: the flat-bottom rule
     counts only abscissas more than ``2*e0`` apart
@@ -200,4 +172,4 @@ def brent_m_minimize(
     """
     c = 0.2 if cfg is None else cfg.c
     recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
-    return _brent(obj, interval, tol, c, recognizer, bracket_log)
+    return _drive(obj, tol, _brent(interval, tol, c, bracket_log), recognizer)

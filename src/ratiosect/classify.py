@@ -16,10 +16,9 @@ cases cheaply:
 * :func:`separated_count` — the stricter spacing the modernized Brent
   variant asks of such a triple: abscissas more than ``2*e0`` apart.
 * :class:`Recognizer` — both rules over one solver run, fed the point
-  each evaluation returns, at O(1) cost per evaluation.  The passive and
-  active ratio solvers and the modernized Brent variant all use it.  It
-  rejects a run whose ordinates do not look monotone itself, so it calls
-  :func:`detect_monotone` only on a monotone-looking run.
+  each evaluation returns, at O(1) cost per evaluation.  The solvers'
+  driver feeds it for ratio-p, phase 1 of ratio-a and the modernized
+  Brent variant.
 """
 
 from __future__ import annotations
@@ -143,8 +142,8 @@ def separated_count(xs: list[float], tol: Tolerance) -> int:
 class Recognizer:
     """Flat-bottom and monotone recognition over one solver run.
 
-    Create it before the run's first evaluation and hand :meth:`observe`
-    each point the run evaluates, the first included.  It drops a point
+    Create it before the run's first evaluation; the solvers' driver hands
+    :meth:`observe` each point the run evaluates.  It drops a point
     whose abscissa the run already holds; the points kept, in evaluation
     order, are :attr:`distinct`.  Each ordinate maps to its level: the
     rank in :attr:`distinct` of the level's first point, and, once a
@@ -160,18 +159,12 @@ class Recognizer:
 
     The monotone check runs once, when the fourth distinct abscissa joins
     and the budget leaves room for its two probes, which are then fed one
-    at a time.  Fed together they would give the same answer, as they
-    never complete two different levels: the second probe ``v`` is
-    evaluated only if the first, ``u``, has ``u.y <= min(ys)``, so a ``u``
-    that completes a level has ``u.y == min(ys)``, and the check then
-    rejects only if ``v.y < u.y``, below every level there is.
-
-    The check's free rejection is made here, without a call: when the
-    four points' ordinates, in abscissa order, are neither non-decreasing
-    nor non-increasing, the check ends.  So :func:`detect_monotone` runs
-    only on a monotone-looking run.  Skipping it skips no error it would
-    raise: the recognizer drops repeated abscissas, and every solver
-    evaluates only inside its interval.
+    at a time.  They never complete two different levels: ``v`` is
+    evaluated only if ``u.y <= min(ys)``.  The check's free rejection is
+    made here: when the four ordinates, in abscissa order, are neither
+    non-decreasing nor non-increasing, :func:`detect_monotone` is not
+    called.  That skips no error it would raise, as repeated abscissas are
+    dropped and every solver evaluates inside its interval.
     """
 
     def __init__(self, obj: CountingObjective, interval: Interval,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Any, Callable, Generator, NamedTuple
 
 _isfinite = math.isfinite
 _tuple_new = tuple.__new__
@@ -214,3 +214,53 @@ class MinimizeOutcome(NamedTuple):
     @property
     def converged(self) -> bool:
         return self.status is _CONVERGED
+
+
+def _drive(
+    obj: CountingObjective,
+    tol: Tolerance,
+    steps: Generator[Any, Any, tuple[float, float, FunctionClass]],
+    recognizer: Any = None,
+) -> MinimizeOutcome:
+    """Run a solver's step generator on ``obj``: the one place that checks
+    the budget, evaluates, feeds the recognizer and builds the outcome.
+
+    ``steps`` runs its stop test, then yields what to evaluate and is sent
+    what came of it.  An abscissa gets its point, which ``recognizer`` (if
+    any) has seen first; the recognizer's first outcome is the run's.  A
+    batch, a tuple of at most two abscissas, gets their points unseen by
+    the recognizer, evaluated only if the budget has room for all; the
+    empty batch (nothing left to probe) needs room for one.  With no room,
+    nothing is evaluated, ``None`` is sent and the run is
+    ``budget_exhausted``; the generator then returns, after at most one
+    fallback abscissa.  It returns its incumbent ``(x, y, classification)``.
+
+    An :class:`EvaluationError` propagates unchanged: the run ends with no
+    outcome, and the points it evaluated stay in ``obj.transcript``.
+    """
+    transcript = obj.transcript
+    start = len(transcript)
+    limit = start + tol.max_evaluations
+    # Bound once per solve; the loop uses them on every probe.
+    evaluate, send = obj.evaluate, steps.send
+    observe = None if recognizer is None else recognizer.observe
+    status, reply = _CONVERGED, None
+    try:
+        while True:
+            x = send(reply)
+            if x.__class__ is not tuple:
+                if len(transcript) < limit:
+                    reply = evaluate(x)
+                    if observe is not None and (found := observe(reply)) is not None:
+                        return found
+                else:
+                    status, reply = SolveStatus.BUDGET_EXHAUSTED, None
+            elif len(x) == 2 and len(transcript) + 2 <= limit:
+                reply = evaluate(x[0]), evaluate(x[1])
+            elif len(x) < 2 and len(transcript) < limit:
+                reply = x and (evaluate(x[0]),)
+            else:
+                status, reply = SolveStatus.BUDGET_EXHAUSTED, None
+    except StopIteration as stop:
+        x, y, classification = stop.value
+    return MinimizeOutcome(x, y, len(transcript) - start, classification, status)

@@ -33,7 +33,8 @@ recently used shapes are kept, so a text of a known shape, such as
 ``5 * x+7`` after ``2*x + 3``, is only tokenized and its numbers converted.
 
 Parse problems raise :class:`ExpressionError` carrying the offset of the
-offending token; so does a text nested too deeply to parse or compile.
+offending token; so does a text nested deeper than the fixed limits,
+which make whether a text parses a property of the text alone.
 Evaluation at a finite ``x`` either returns a finite float or raises a
 domain/arithmetic error (``sqrt(-1)``, division by zero, overflow), which
 the solvers' objective wrapper turns into an evaluation failure.  Parsing
@@ -106,9 +107,14 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-# A parsed subexpression: ``(source, level)``, its Python source and how
-# tightly that binds.
-_Node = tuple[str, int]
+# A parsed subexpression: ``(source, level, depth)``, its Python source,
+# how tightly that binds, and how many levels deep its tree is.
+_Node = tuple[str, int, int]
+# At most _MAX_RULES open rules (``expr`` or ``factor``, 1.5 Python frames
+# each at most) and _MAX_DEPTH tree levels: neither the parser's recursion
+# nor ``compile``'s reaches Python's limits from a caller a few hundred
+# frames deep.
+_MAX_RULES, _MAX_DEPTH = 320, 1000
 _SUM, _TERM, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 _BINARY = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM}
 
@@ -123,7 +129,7 @@ class Expression(partial):
 
 def _source(node: _Node, level: int = _SUM) -> str:
     """``node``'s source, in parentheses unless it binds as tightly as ``level``."""
-    text, own = node
+    text, own, _ = node
     return text if own >= level else f"({text})"
 
 
@@ -137,6 +143,7 @@ class _Parser:
         self.text = text
         self.words, self.numbers = words, numbers
         self.index = 0
+        self.depth = 0  # open rules
         self.params: list[str] = []
 
     def error(self, message: str, index: int) -> ExpressionError:
@@ -147,6 +154,12 @@ class _Parser:
     def found(self, i: int) -> str:
         return repr(self.words[i] or self.numbers[i] or "end of input")
 
+    def enter(self) -> None:
+        """Open one more rule; past :data:`_MAX_RULES`, fail at the last token read."""
+        self.depth += 1
+        if self.depth > _MAX_RULES:
+            raise self.error("expression nested too deeply", self.index - 1)
+
     def expect_op(self, op: str) -> None:
         if self.words[self.index] != op:
             raise self.error(f"expected {op!r}, found {self.found(self.index)}", self.index)
@@ -155,30 +168,41 @@ class _Parser:
     # expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*
     def expr(self, level: int = _SUM) -> _Node:
         """The longest run of operators binding at ``level`` or tighter."""
+        self.enter()
         node = self.factor()
         while (op_level := _BINARY.get(self.words[self.index], 0)) >= level:
             op = self.words[self.index]
             self.index += 1
             right = self.expr(op_level + 1)
-            node = f"{_source(node, op_level)} {op} {_source(right, op_level + 1)}", op_level
+            node = (f"{_source(node, op_level)} {op} {_source(right, op_level + 1)}",
+                    op_level, max(node[2], right[2]) + 1)
+        self.depth -= 1
         return node
 
     # factor := '-' factor | atom ('^' factor)?   (^ is right-associative)
     def factor(self) -> _Node:
-        if self.words[self.index] == "-":
+        self.enter()
+        # A run of unary minuses is read in a loop, not one rule each.
+        first = self.index
+        while self.words[self.index] == "-":
             self.index += 1
-            return "-" + _source(self.factor(), _NEG), _NEG
         start = self.index
         node = self.atom()
-        if self.words[self.index] != "^":
-            return node
-        self.index += 1
-        # A call to abs is never negative, so ** cannot go complex there and
-        # needs no _power check.  Python's ** takes a unary minus on its
-        # right, as ^ does.
-        if self.words[start] == "abs":
-            return f"{_source(node)} ** {_source(self.factor(), _NEG)}", _POW
-        return f"pow({_source(node)}, {_source(self.factor())})", _ATOM
+        if self.words[self.index] == "^":
+            self.index += 1
+            right = self.factor()
+            depth = max(node[2], right[2]) + 1
+            # A call to abs is never negative, so ** cannot go complex there
+            # and needs no _power check.  Python's ** takes a unary minus on
+            # its right, as ^ does.
+            if self.words[start] == "abs":
+                node = f"{_source(node)} ** {_source(right, _NEG)}", _POW, depth
+            else:
+                node = f"pow({_source(node)}, {_source(right)})", _ATOM, depth
+        if start > first:
+            node = "-" * (start - first) + _source(node, _NEG), _NEG, node[2] + start - first
+        self.depth -= 1
+        return node
 
     def atom(self) -> _Node:
         i = self.index
@@ -187,21 +211,22 @@ class _Parser:
         if self.numbers[i]:
             param = f"_{len(self.params)}"
             self.params.append(param)
-            return param, _ATOM
+            return param, _ATOM, 1
         if name == "x":
-            return "x", _ATOM
+            return "x", _ATOM, 1
         if name in _FUNCTIONS:
             self.expect_op("(")
-            args = [_source(self.expr())]
+            args = [self.expr()]
             while self.words[self.index] == ",":
                 self.index += 1
-                args.append(_source(self.expr()))
+                args.append(self.expr())
             self.expect_op(")")
             low, high, _ = _FUNCTIONS[name]
             if len(args) < low or (high is not None and len(args) > high):
                 wanted = str(low) if high == low else f"at least {low}"
                 raise self.error(f"{name}() takes {wanted} argument(s), got {len(args)}", i)
-            return f"{name}({', '.join(args)})", _ATOM
+            return (f"{name}({', '.join(map(_source, args))})", _ATOM,
+                    max(arg[2] for arg in args) + 1)
         if name.isidentifier():
             raise self.error(f"unknown identifier {name!r}", i)
         if name == "(":
@@ -213,19 +238,18 @@ class _Parser:
 
     def function(self) -> Callable[..., float]:
         """Parse and compile the whole text into its shape's function."""
-        try:
-            node = self.expr()
-        except RecursionError:
-            raise self.error("expression nested too deeply", self.index - 1) from None
+        node = self.expr()
         if self.index < len(self.words) - 1:
             raise self.error(f"unexpected trailing input {self.found(self.index)}", self.index)
+        if node[2] > _MAX_DEPTH:
+            raise ExpressionError("expression nested too deeply to compile", 0)
         # The literals lead, for the partial to fill.  Positional-only
         # parameters are the form Python's parser tries first, so the
         # cheapest to compile.
         params = ", ".join([*self.params, "x", "/"])
         try:
             code = compile(f"lambda {params}: float({_source(node)})", "<expression>", "eval")
-        except (SyntaxError, RecursionError):
+        except SyntaxError:  # more than 200 nested parentheses
             raise ExpressionError("expression nested too deeply to compile", 0) from None
         # The compiled expression only makes the function: its one constant.
         return FunctionType(code.co_consts[0], _NAMESPACE)

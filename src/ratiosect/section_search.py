@@ -2,31 +2,25 @@
 
 All three shrink an uncertainty interval around the minimizer and stop via
 the shared :func:`~ratiosect.core.stop_test`.  They differ in where the
-next probe lands:
+next probe lands: :func:`minimize_bisection` probes a pair straddling the
+midpoint, :func:`minimize_golden` follows the classical golden-section
+rule, and :func:`minimize_ratio_p` divides the longer side of the
+incumbent at a configurable ratio ``c``, with the recognizers of
+:mod:`~ratiosect.classify` watching its run, so constants finish in 3
+evaluations and monotone targets in 6.
 
-* :func:`minimize_bisection` — a symmetric probe pair straddling the
-  midpoint at sub-tolerance separation; two evaluations per iteration.
-* :func:`minimize_golden` — the classical golden-section rule; one
-  evaluation per iteration, fixed contraction factor ``(sqrt(5)-1)/2``.
-* :func:`minimize_ratio_p` — the passive ratio-section rule: the next
-  probe divides the longer of the two sub-segments around the incumbent
-  ``m`` at a configurable ratio ``c``, i.e. ``p.x = c*end + (1-c)*m.x``;
-  one evaluation per iteration, including the first.  A probe that ties
-  the incumbent replaces it.  The loop hosts the monotone and flat-bottom
-  recognizers from :mod:`~ratiosect.classify`, so constants finish in 3
-  evaluations and monotone targets in 6.
-
-Every solver takes an optional ``bracket_log`` list and appends the
-``(a, b)`` bracket after the initial setup and after each iteration, which
-is how the tests observe contraction behavior without touching internals.
+Each solver is a step generator run by the private driver of
+:mod:`~ratiosect.core`, which owns the budget, the evaluations, the
+recognizer feed and the outcome.  The generator yields its next abscissa
+(bisection a pair, golden its first pair), is sent the evaluated point,
+and appends the ``(a, b)`` bracket after its setup and after each
+iteration to the optional ``bracket_log`` list, which the tests read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, TypeVar
 
 from .classify import Recognizer
 from .core import (
@@ -34,19 +28,13 @@ from .core import (
     FunctionClass,
     Interval,
     MinimizeOutcome,
-    Point2,
-    SolveStatus,
     Tolerance,
+    _drive,
     halfway,
     stop_test,
 )
 
-_T = TypeVar("_T")
-
 _STRICT = FunctionClass.STRICT_INTERIOR
-_CONVERGED = SolveStatus.CONVERGED
-_BUDGET = SolveStatus.BUDGET_EXHAUSTED
-_ordinate = itemgetter(1)
 
 #: Golden-section contraction factor, (sqrt(5) - 1) / 2.
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,48 +60,23 @@ def _golden_pair(a: float, b: float) -> tuple[float, float]:
     return b - step - step, a + step + step
 
 
-def minimize_bisection(
-    obj: CountingObjective,
-    interval: Interval,
-    tol: Tolerance,
-    *,
-    bracket_log: list[tuple[float, float]] | None = None,
-) -> MinimizeOutcome:
-    """Dichotomous bisection: probe ``mid +- e0(mid)/2`` and keep the half
-    whose probe is lower.
-
-    A tie between the two probes keeps the half on the side of a strictly
-    lower point when one is already known (unimodality puts the minimizer
-    there).  A tie at the lowest level seen keeps the half whose bracket
-    end has the lower ordinate: that half holds the vertex of the parabola
-    through both ends and the tied pair.  When the ends are equal or not
-    both evaluated yet, the tie keeps the left half.
-
-    Two evaluations per iteration; no classification beyond
-    ``strict_interior``.
-    """
+def _bisection(interval: Interval, tol: Tolerance,
+               bracket_log: list[tuple[float, float]] | None):
+    """The steps of :func:`minimize_bisection`."""
     a, b = interval.lo, interval.hi
-    start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
     # Read once per solve; the loop uses them on every probe pair.
     epsilon, floor = tol.epsilon, tol.floor
-    transcript, limit = obj.transcript, start + tol.max_evaluations
-    status = _CONVERGED
     # The earliest lowest point so far (bx, by), and the ordinates at a
     # and b (None while that end is still an unevaluated interval end).
     bx = by = ya = yb = None
-    while True:
-        mid = halfway(a, b)
-        if stop_test(a, b, mid, tol):
-            break
-        if len(transcript) + 2 > limit:
-            status = _BUDGET
-            break
+    while not stop_test(a, b, mid := halfway(a, b), tol):
         delta = 0.5 * (epsilon * abs(mid) + floor)
-        x1, x2 = mid - delta, mid + delta
-        y1 = obj.evaluate(x1).y
-        y2 = obj.evaluate(x2).y
+        pair = yield mid - delta, mid + delta
+        if pair is None:
+            break
+        (x1, y1), (x2, y2) = pair
         if y1 != y2:
             keep_left = y1 < y2
         elif by is not None and by < y1:
@@ -131,10 +94,75 @@ def minimize_bisection(
         if bracket_log is not None:
             bracket_log.append((a, b))
     if by is None:
-        # Converged before spending anything (degenerate-tiny input
-        # interval): spend one evaluation so f_min is meaningful.
-        bx, by = obj.evaluate(halfway(a, b))
-    return MinimizeOutcome(bx, by, obj.count - start, _STRICT, status)
+        # Nothing spent (a degenerate-tiny interval, or no room for a
+        # pair): spend one evaluation so f_min is meaningful.
+        bx, by = yield halfway(a, b)
+    return bx, by, _STRICT
+
+
+def minimize_bisection(
+    obj: CountingObjective,
+    interval: Interval,
+    tol: Tolerance,
+    *,
+    bracket_log: list[tuple[float, float]] | None = None,
+) -> MinimizeOutcome:
+    """Dichotomous bisection: probe ``mid +- e0(mid)/2`` and keep the half
+    whose probe is lower.
+
+    A tie between the two probes keeps the half on the side of a strictly
+    lower point when one is already known (unimodality puts the minimizer
+    there).  A tie at the lowest level seen keeps the half whose bracket
+    end has the lower ordinate: that half holds the vertex of the parabola
+    through both ends and the tied pair.  When the ends are equal or not
+    both evaluated yet, the tie keeps the left half.
+
+    Two evaluations per iteration, spent only together; with room for no
+    pair, one evaluation at the midpoint.  No classification beyond
+    ``strict_interior``.
+    """
+    return _drive(obj, tol, _bisection(interval, tol, bracket_log))
+
+
+def _golden(interval: Interval, tol: Tolerance,
+            bracket_log: list[tuple[float, float]] | None):
+    """The steps of :func:`minimize_golden`."""
+    a, b = interval.lo, interval.hi
+    if bracket_log is not None:
+        bracket_log.append((a, b))
+    pair = yield _golden_pair(a, b)
+    if pair is None:
+        # No room for the first pair: the one evaluation goes to the midpoint.
+        x, y = yield halfway(a, b)
+        return x, y, _STRICT
+    (x1, y1), (x2, y2) = pair
+    # The earliest lowest point so far.
+    bx, by = (x2, y2) if y2 < y1 else (x1, y1)
+    while not stop_test(a, b, x1 if y1 <= y2 else x2, tol):
+        # The width can still overflow after the first cuts of a bracket
+        # wider than about 2.9e308.  The finite case stays inline: a call
+        # per cut costs golden a few percent of its time.
+        if y1 <= y2:
+            b, x2, y2 = x2, x1, y1
+            w = b - a
+            x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[0]
+            point = yield x1
+            if point is None:
+                break
+            y1 = point[1]
+        else:
+            a, x1, y1 = x1, x2, y2
+            w = b - a
+            x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[1]
+            point = yield x2
+            if point is None:
+                break
+            y2 = point[1]
+        if point[1] < by:
+            bx, by = point
+        if bracket_log is not None:
+            bracket_log.append((a, b))
+    return bx, by, _STRICT
 
 
 def minimize_golden(
@@ -145,94 +173,31 @@ def minimize_golden(
     bracket_log: list[tuple[float, float]] | None = None,
 ) -> MinimizeOutcome:
     """Golden-section search: one evaluation per iteration after the
-    initial interior pair, interval contracting by ``GOLDEN_RATIO``."""
+    initial interior pair, interval contracting by ``GOLDEN_RATIO``.
+    Returns the earliest of the lowest points evaluated."""
+    return _drive(obj, tol, _golden(interval, tol, bracket_log))
+
+
+def _ratio_section(interval: Interval, tol: Tolerance, c: float,
+                   bracket_log: list[tuple[float, float]] | None):
+    """The steps of :func:`minimize_ratio_p`, which phase 1 of
+    :func:`~ratiosect.active_search.minimize_ratio_a` takes too."""
     a, b = interval.lo, interval.hi
-    start = obj.count
     if bracket_log is not None:
         bracket_log.append((a, b))
-    if tol.max_evaluations < 2:
-        p = obj.evaluate(halfway(a, b))
-        return MinimizeOutcome(p.x, p.y, obj.count - start, _STRICT, _BUDGET)
-    x1, x2 = _golden_pair(a, b)
-    y1 = obj.evaluate(x1).y
-    y2 = obj.evaluate(x2).y
-    transcript, limit = obj.transcript, start + tol.max_evaluations
-    status = _CONVERGED
-    while True:
-        if stop_test(a, b, x1 if y1 <= y2 else x2, tol):
-            break
-        if len(transcript) + 1 > limit:
-            status = _BUDGET
-            break
-        # The width can still overflow after the first cuts of a bracket
-        # wider than about 2.9e308.  The finite case stays inline: a call
-        # per cut costs golden a few percent of its time.
-        if y1 <= y2:
-            b = x2
-            x2, y2 = x1, y1
-            w = b - a
-            x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[0]
-            y1 = obj.evaluate(x1).y
-        else:
-            a = x1
-            x1, y1 = x2, y2
-            w = b - a
-            x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[1]
-            y2 = obj.evaluate(x2).y
-        if bracket_log is not None:
-            bracket_log.append((a, b))
-    # min() keeps the earliest point on ordinate ties.
-    bx, by = min(obj.transcript[start:], key=_ordinate)
-    return MinimizeOutcome(bx, by, obj.count - start, _STRICT, status)
-
-
-def _ratio_section(
-    obj: CountingObjective,
-    interval: Interval,
-    tol: Tolerance,
-    c: float,
-    bracket_log: list[tuple[float, float]] | None,
-    until: Callable[[list[Point2]], _T | None] | None = None,
-) -> MinimizeOutcome | _T:
-    """The passive ratio-section loop of :func:`minimize_ratio_p`, which
-    phase 1 of :func:`~ratiosect.active_search.minimize_ratio_a` runs too.
-
-    After each probe's recognizer check, ``until`` (if given) sees the
-    run's points, one per abscissa; the first value it returns that is
-    not ``None`` ends the loop and is returned in place of an outcome.
-    """
-    a, b = interval.lo, interval.hi
-    start = obj.count
-    if bracket_log is not None:
-        bracket_log.append((a, b))
-    recognizer = Recognizer(obj, interval, tol)
-    # Bound once per solve; the loop calls them on every probe.
-    evaluate, observe = obj.evaluate, recognizer.observe
-    transcript, limit = obj.transcript, start + tol.max_evaluations
-    mx, my = first = evaluate(halfway(a, b))
-    observe(first)  # one point: nothing to recognize yet
-    status = _CONVERGED
-    while True:
-        if stop_test(a, b, mx, tol):
-            break
-        if len(transcript) + 1 > limit:
-            status = _BUDGET
-            break
+    # Every budget has room for the first probe.
+    mx, my = yield halfway(a, b)
+    while not stop_test(a, b, mx, tol):
         if b - mx >= mx - a:
             px = c * b + (1.0 - c) * mx
         else:
             px = c * a + (1.0 - c) * mx
-        if not a <= px <= b:
-            # On a bracket a few ulps wide the probe can round past its
-            # end: no abscissa is left to probe, it is at resolution.
+        # On a bracket a few ulps wide the probe can round past its end:
+        # no abscissa is left to probe (the empty batch), it is at resolution.
+        point = yield px if a <= px <= b else ()
+        if not point:
             break
-        point = evaluate(px)
-        if (recognized := observe(point)) is not None:
-            return recognized
-        if until is not None and (found := until(recognizer.distinct)) is not None:
-            return found
-
-        py = point.y
+        py = point[1]
         if py <= my:
             # The probe replaces the incumbent, which bounds the side away
             # from the probe.
@@ -248,7 +213,7 @@ def _ratio_section(
             b = px
         if bracket_log is not None:
             bracket_log.append((a, b))
-    return MinimizeOutcome(mx, my, len(transcript) - start, _STRICT, status)
+    return mx, my, _STRICT
 
 
 def minimize_ratio_p(
@@ -267,12 +232,10 @@ def minimize_ratio_p(
     iteration, including the first.  A probe no higher than ``m`` becomes
     the incumbent, so a tie cuts away only the shorter side; on a
     staircase wall, keeping ``m`` would cut away a ``(1-c)`` share of the
-    longer side, which may hold the bottom.  After every evaluation a
-    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
-    bottom; when the run first holds four distinct abscissas it runs the
-    monotone recognizer once.  With ``c = 0.5`` the probe is
-    always the midpoint of the longer segment and the behavior mirrors
-    bisection.
+    longer side, which may hold the bottom.  A
+    :class:`~ratiosect.classify.Recognizer` watches the run.  With
+    ``c = 0.5`` the probe is always the midpoint of the longer segment and
+    the behavior mirrors bisection.
 
     Counts are lowest near ``c = 0.2`` and grow toward both ends of
     ``(0, 1)``; nothing keeps a probe ``e0`` away from ``m``, so a tiny
@@ -281,4 +244,5 @@ def minimize_ratio_p(
     ``c = 1e-3`` and below (``1e-12`` included) or ``0.99`` and above spend
     the whole 1000-evaluation budget and report ``budget_exhausted``.
     """
-    return _ratio_section(obj, interval, tol, cfg.c, bracket_log)
+    return _drive(obj, tol, _ratio_section(interval, tol, cfg.c, bracket_log),
+                  Recognizer(obj, interval, tol))

@@ -153,7 +153,7 @@ class TestCompiledSource:
             f(0.0)
 
     def test_redundant_parentheses_dropped(self):
-        assert ev("(" * 250 + "x" + ")" * 250, 3.0) == 3.0
+        assert ev("(" * 159 + "x" + ")" * 159, 3.0) == 3.0
         assert ev("((2)) - ((x - 1))", 1.0) == 2.0
 
     def test_builtins_out_of_reach(self):
@@ -185,6 +185,35 @@ class TestTooDeep:
     def test_sum_too_long_to_compile(self):
         with pytest.raises(ExpressionError, match="too deeply to compile"):
             parse_expression("x" + "+1" * 5_000)
+
+    @pytest.mark.parametrize("make, limit", [
+        (lambda n: "(" * n + "x" + ")" * n, 159),
+        (lambda n: "sin(" * n + "x" + ")" * n, 159),
+        (lambda n: "x^" * n + "x", 199),
+        (lambda n: "-" * n + "x", 999),
+        (lambda n: "x" + "+1" * (n - 1), 1000),
+    ], ids=["parentheses", "calls", "powers", "unary-minus", "sum-terms"])
+    def test_limits_do_not_depend_on_the_callers_stack(self, make, limit):
+        # Both the parser's recursion and compile's count the frames
+        # already on the stack, so a text's fate used to depend on its
+        # caller: 250 nested parentheses parsed at the top of a test and
+        # failed 400 frames deeper.
+        for n in (limit, limit + 1, 2 * limit):
+            answer = _parse_at_depth(make(n), 0)
+            assert _parse_at_depth(make(n), 400) == answer
+            assert isinstance(answer, float) == (n == limit), answer
+
+
+def _parse_at_depth(text, depth):
+    """``text``, of a shape not cached, parsed ``depth`` frames deeper than
+    the caller and called at 0.5; or the message of its ExpressionError."""
+    if depth:
+        return _parse_at_depth(text, depth - 1)
+    _SHAPES.clear()
+    try:
+        return parse_expression(text)(0.5)
+    except ExpressionError as exc:
+        return str(exc)
 
 
 class TestShapeCache:
