@@ -155,10 +155,10 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
         # A batch of one, so the recognizer does not see it.  The
         # displacement guard can leave no admissible abscissa inside the
         # bracket (the empty batch): it is already at resolution.
-        points = yield (r,) if xl < r < xr else ()
-        if not points:
+        point = yield (r,) if xl < r < xr else ()
+        if not point:
             break
-        y = points[0][1]
+        y = point[1]
 
         if y < ym:
             if r < xm:

@@ -228,12 +228,13 @@ def _drive(
     ``steps`` runs its stop test, then yields what to evaluate and is sent
     what came of it.  An abscissa gets its point, which ``recognizer`` (if
     any) has seen first; the recognizer's first outcome is the run's.  A
-    batch, a tuple of at most two abscissas, gets their points unseen by
-    the recognizer, evaluated only if the budget has room for all; the
-    empty batch (nothing left to probe) needs room for one.  With no room,
-    nothing is evaluated, ``None`` is sent and the run is
-    ``budget_exhausted``; the generator then returns, after at most one
-    fallback abscissa.  It returns its incumbent ``(x, y, classification)``.
+    batch, a tuple of one or two abscissas, gets its point or pair of
+    points, unseen by the recognizer and evaluated only if the budget has
+    room for all; the empty batch (nothing left to probe) needs room for
+    one and gets ``()``.  With no room, nothing is evaluated, ``None`` is
+    sent and the run is ``budget_exhausted``; the generator then returns,
+    after at most one fallback abscissa.  It returns its incumbent
+    ``(x, y, classification)``.
 
     An :class:`EvaluationError` propagates unchanged: the run ends with no
     outcome, and the points it evaluated stay in ``obj.transcript``.
@@ -255,10 +256,10 @@ def _drive(
                         return found
                 else:
                     status, reply = SolveStatus.BUDGET_EXHAUSTED, None
+            elif len(x) < 2 and len(transcript) < limit:
+                reply = x and evaluate(x[0])
             elif len(x) == 2 and len(transcript) + 2 <= limit:
                 reply = evaluate(x[0]), evaluate(x[1])
-            elif len(x) < 2 and len(transcript) < limit:
-                reply = x and (evaluate(x[0]),)
             else:
                 status, reply = SolveStatus.BUDGET_EXHAUSTED, None
     except StopIteration as stop:
