@@ -98,9 +98,12 @@ def parabola_vertex(t: BracketTriple) -> float:
 
 
 def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
-    """Search the run's points (one per abscissa) for a bracketing triple:
-    the best point (earliest on ties) and the nearest strictly greater
-    point on each side, the tightest bracket the points support."""
+    """Search the run's points (one per abscissa) for a bracketing triple.
+
+    The candidate middle is the best point seen so far (earliest on ties);
+    the flanks are the nearest strictly-greater points on each side, which
+    gives the tightest bracket the transcript supports.
+    """
     best = min(points, key=itemgetter(1))
     left: Point2 | None = None
     right: Point2 | None = None
@@ -188,17 +191,23 @@ def minimize_ratio_a(
 ) -> MinimizeOutcome:
     """Active ratio-section search (parabolic steps, ratio fallbacks).
 
-    Phase 1 is :func:`~ratiosect.section_search.minimize_ratio_p` at
-    ``c = 0.5``, its recognizers and tie rule included, until the run's
-    points (one per abscissa) contain a bracketing triple, which is
-    validated once.  Phase 2 then takes the parabola vertex if it is
-    defined, lies strictly inside the bracket and is at least ``e0`` from
-    the best point; otherwise a ratio probe ``r = c*s + (1-c)*mid.x``
-    toward the farther bracket end ``s``, never closer to ``mid`` than
-    ``e0``.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly lowest;
-    two adjacent triple points sharing an ordinate (as when a clamped probe
-    rounds back onto ``xm``) classify the target as flat-bottomed, and the
-    run converges when the bracket width drops to ``2*e0``.
+    Phase 1 is the steps of
+    :func:`~ratiosect.section_search.minimize_ratio_p` at ``c = 0.5``, its
+    recognizers and tie rule included, run until the run's points (one
+    per abscissa) contain a bracketing triple.  Phase 2 then iterates:
+    take the parabola vertex if it is defined, lies strictly inside the
+    bracket and is at least ``e0`` away from the current best point;
+    otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward the
+    farther bracket endpoint ``s`` (never closer to ``mid`` than
+    ``e0``).  Two adjacent triple points sharing an ordinate classify the
+    target as flat-bottomed; the run converges when the bracket width
+    drops to ``2*e0``.
+
+    Phase 2 keeps the triple in six floats, validated once at the
+    hand-over.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly
+    lowest: the probe lies inside ``(xl, xr)`` at least ``e0`` from
+    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom
+    (as when a clamped probe rounds back onto ``xm``).
     """
     c = 1e-3 if cfg is None else cfg.c
     recognizer = Recognizer(obj, interval, tol)

@@ -2,7 +2,8 @@
 
 :func:`brent_minimize` is the classical combined method: successive
 parabolic interpolation through the three best points, guarded by
-golden-section steps whenever the parabola is untrustworthy.
+golden-section steps whenever the parabola is untrustworthy (vertex out of
+bounds, or a step not smaller than half the second-to-last step).
 :func:`brent_m_minimize` takes ratio-section steps ``d = c*e`` instead and
 lets the recognizers of :mod:`~ratiosect.classify` watch its run, so
 constants finish in 3 evaluations and monotone targets in 6 with the
@@ -160,9 +161,12 @@ def brent_m_minimize(
 ) -> MinimizeOutcome:
     """Brent minimization with ratio-section fallbacks and recognizers.
 
-    Identical to :func:`brent_minimize` except that the fallback step is
-    ``d = c*e`` (default ``c = 0.2``) and, unless ``use_recognizers`` is
-    false, a :class:`~ratiosect.classify.Recognizer` watches the run.
+    Identical to :func:`brent_minimize` except that (i) the fallback step
+    is ``d = c*e`` (default ``c = 0.2``), (ii) a
+    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
+    bottom after every evaluation, and (iii) runs the monotone recognizer
+    once when the run first holds four distinct abscissas.  Pass
+    ``use_recognizers=False`` to strip (ii) and (iii).
 
     The recognizer runs in its ``spaced`` flavour: the flat-bottom rule
     counts only abscissas more than ``2*e0`` apart

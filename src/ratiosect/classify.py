@@ -18,7 +18,9 @@ cases cheaply:
 * :class:`Recognizer` — both rules over one solver run, fed the point
   each evaluation returns, at O(1) cost per evaluation.  The solvers'
   driver feeds it for ratio-p, phase 1 of ratio-a and the modernized
-  Brent variant.
+  Brent variant.  It rejects a run whose ordinates do not look monotone
+  itself, so it calls :func:`detect_monotone` only on a monotone-looking
+  run.
 """
 
 from __future__ import annotations
@@ -143,9 +145,9 @@ class Recognizer:
     """Flat-bottom and monotone recognition over one solver run.
 
     Create it before the run's first evaluation; the solvers' driver hands
-    :meth:`observe` each point the run evaluates.  It drops a point
-    whose abscissa the run already holds; the points kept, in evaluation
-    order, are :attr:`distinct`.  Each ordinate maps to its level: the
+    :meth:`observe` each point the run evaluates, the first included.  It
+    drops a point whose abscissa the run already holds; the points kept,
+    in evaluation order, are :attr:`distinct`.  Each ordinate maps to its level: the
     rank in :attr:`distinct` of the level's first point, and, once a
     second point joins, the level's abscissas (so a run whose ordinates
     never repeat allocates no list).  Only the level a new point joins can
@@ -159,12 +161,18 @@ class Recognizer:
 
     The monotone check runs once, when the fourth distinct abscissa joins
     and the budget leaves room for its two probes, which are then fed one
-    at a time.  They never complete two different levels: ``v`` is
-    evaluated only if ``u.y <= min(ys)``.  The check's free rejection is
-    made here: when the four ordinates, in abscissa order, are neither
-    non-decreasing nor non-increasing, :func:`detect_monotone` is not
-    called.  That skips no error it would raise, as repeated abscissas are
-    dropped and every solver evaluates inside its interval.
+    at a time.  Fed together they would give the same answer, as they
+    never complete two different levels: the second probe ``v`` is
+    evaluated only if the first, ``u``, has ``u.y <= min(ys)``, so a ``u``
+    that completes a level has ``u.y == min(ys)``, and the check then
+    rejects only if ``v.y < u.y``, below every level there is.
+
+    The check's free rejection is made here, without a call: when the
+    four points' ordinates, in abscissa order, are neither non-decreasing
+    nor non-increasing, the check ends.  So :func:`detect_monotone` runs
+    only on a monotone-looking run.  Skipping it skips no error it would
+    raise: the recognizer drops repeated abscissas, and every solver
+    evaluates only inside its interval.
     """
 
     def __init__(self, obj: CountingObjective, interval: Interval,

@@ -174,9 +174,13 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
     columns: list[_Column] = [("x_min", "x_min", _fmt), ("f_min", "f_min", _fmt)]
     columns += [(k, k, str) for k in ("evaluations", "classification", "status")]
-    record = outcome._asdict()
-    record["classification"] = outcome.classification.value
-    record["status"] = outcome.status.value
+    record = {
+        "x_min": outcome.x_min,
+        "f_min": outcome.f_min,
+        "evaluations": outcome.evaluations,
+        "classification": outcome.classification.value,
+        "status": outcome.status.value,
+    }
     _emit(_render(args.format, columns, [record]), args.out)
     return 0 if outcome.converged else 2
 

@@ -246,22 +246,22 @@ def _drive(
     evaluate, send = obj.evaluate, steps.send
     observe = None if recognizer is None else recognizer.observe
     status, reply = _CONVERGED, None
-    try:
-        while True:
+    while True:
+        try:
             x = send(reply)
-            if x.__class__ is not tuple:
-                if len(transcript) < limit:
-                    reply = evaluate(x)
-                    if observe is not None and (found := observe(reply)) is not None:
-                        return found
-                else:
-                    status, reply = SolveStatus.BUDGET_EXHAUSTED, None
-            elif len(x) < 2 and len(transcript) < limit:
-                reply = x and evaluate(x[0])
-            elif len(x) == 2 and len(transcript) + 2 <= limit:
-                reply = evaluate(x[0]), evaluate(x[1])
+        except StopIteration as stop:
+            x, y, kind = stop.value
+            return MinimizeOutcome(x, y, len(transcript) - start, kind, status)
+        if x.__class__ is not tuple:
+            if len(transcript) < limit:
+                reply = evaluate(x)
+                if observe is not None and (found := observe(reply)) is not None:
+                    return found
             else:
                 status, reply = SolveStatus.BUDGET_EXHAUSTED, None
-    except StopIteration as stop:
-        x, y, classification = stop.value
-    return MinimizeOutcome(x, y, len(transcript) - start, classification, status)
+        elif len(x) < 2 and len(transcript) < limit:
+            reply = x and evaluate(x[0])
+        elif len(x) == 2 and len(transcript) + 2 <= limit:
+            reply = evaluate(x[0]), evaluate(x[1])
+        else:
+            status, reply = SolveStatus.BUDGET_EXHAUSTED, None

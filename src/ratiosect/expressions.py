@@ -113,7 +113,8 @@ _Node = tuple[str, int, int]
 # At most _MAX_RULES open rules (``expr`` or ``factor``, 1.5 Python frames
 # each at most) and _MAX_DEPTH tree levels: neither the parser's recursion
 # nor ``compile``'s reaches Python's limits from a caller a few hundred
-# frames deep.
+# frames deep.  A caller deeper still gets the same ExpressionError from
+# the RecursionError fallbacks in ``_Parser.function``.
 _MAX_RULES, _MAX_DEPTH = 320, 1000
 _SUM, _TERM, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 _BINARY = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM}
@@ -238,7 +239,10 @@ class _Parser:
 
     def function(self) -> Callable[..., float]:
         """Parse and compile the whole text into its shape's function."""
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:  # a caller already deep in the stack
+            raise self.error("expression nested too deeply", self.index - 1) from None
         if self.index < len(self.words) - 1:
             raise self.error(f"unexpected trailing input {self.found(self.index)}", self.index)
         if node[2] > _MAX_DEPTH:
@@ -249,7 +253,7 @@ class _Parser:
         params = ", ".join([*self.params, "x", "/"])
         try:
             code = compile(f"lambda {params}: float({_source(node)})", "<expression>", "eval")
-        except SyntaxError:  # more than 200 nested parentheses
+        except (SyntaxError, RecursionError):  # past 200 parentheses, or a deep caller
             raise ExpressionError("expression nested too deeply to compile", 0) from None
         # The compiled expression only makes the function: its one constant.
         return FunctionType(code.co_consts[0], _NAMESPACE)

@@ -143,7 +143,8 @@ def _golden(interval: Interval, tol: Tolerance,
         # wider than about 2.9e308.  The finite case stays inline: a call
         # per cut costs golden a few percent of its time.
         if y1 <= y2:
-            b, x2, y2 = x2, x1, y1
+            b = x2
+            x2, y2 = x1, y1
             w = b - a
             x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[0]
             point = yield x1
@@ -151,7 +152,8 @@ def _golden(interval: Interval, tol: Tolerance,
                 break
             y1 = point[1]
         else:
-            a, x1, y1 = x1, x2, y2
+            a = x1
+            x1, y1 = x2, y2
             w = b - a
             x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[1]
             point = yield x2
@@ -232,10 +234,12 @@ def minimize_ratio_p(
     iteration, including the first.  A probe no higher than ``m`` becomes
     the incumbent, so a tie cuts away only the shorter side; on a
     staircase wall, keeping ``m`` would cut away a ``(1-c)`` share of the
-    longer side, which may hold the bottom.  A
-    :class:`~ratiosect.classify.Recognizer` watches the run.  With
-    ``c = 0.5`` the probe is always the midpoint of the longer segment and
-    the behavior mirrors bisection.
+    longer side, which may hold the bottom.  After every evaluation a
+    :class:`~ratiosect.classify.Recognizer` checks the run for a flat
+    bottom; when the run first holds four distinct abscissas it runs the
+    monotone recognizer once.  With ``c = 0.5`` the probe is
+    always the midpoint of the longer segment and the behavior mirrors
+    bisection.
 
     Counts are lowest near ``c = 0.2`` and grow toward both ends of
     ``(0, 1)``; nothing keeps a probe ``e0`` away from ``m``, so a tiny

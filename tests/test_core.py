@@ -148,6 +148,18 @@ def test_budget_edges(method, budget):
 
 
 @pytest.mark.parametrize("method", _METHODS)
+def test_stop_iteration_from_the_target_propagates(method):
+    # Only the solver's own steps ending is the end of a run: a
+    # StopIteration that the target raises, here on its sixth call,
+    # reaches the caller unchanged.
+    shifts = iter([0.0] * 5)
+    obj = CountingObjective(lambda x: (x - 0.3) ** 2 + next(shifts))
+    with pytest.raises(StopIteration):
+        solve_one(MethodSpec(method), obj, Interval(0.0, 1.0), Tolerance())
+    assert obj.count == 5
+
+
+@pytest.mark.parametrize("method", _METHODS)
 def test_solvers_stay_inside_interval_whose_sum_overflows(method):
     # Brent's infinite midpoint sent every tol1 step right, past b: both
     # Brent solvers returned x_min = 9.9586e307.

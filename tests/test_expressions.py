@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,10 @@ class TestCompiledSource:
 
     def test_redundant_parentheses_dropped(self):
         assert ev("(" * 159 + "x" + ")" * 159, 3.0) == 3.0
+        # 106 nested ``1^(...)`` are 320 open rules, within the parser's
+        # limit, and compile to 107 nested parentheses with ``float(``; kept,
+        # the redundant ones would make 213, past the compiler's 200.
+        assert ev("1^(" * 106 + "x" + ")" * 106, 3.0) == 1.0
         assert ev("((2)) - ((x - 1))", 1.0) == 2.0
 
     def test_builtins_out_of_reach(self):
@@ -202,6 +207,17 @@ class TestTooDeep:
             answer = _parse_at_depth(make(n), 0)
             assert _parse_at_depth(make(n), 400) == answer
             assert isinstance(answer, float) == (n == limit), answer
+
+    @pytest.mark.parametrize("text", [
+        "(" * 159 + "x" + ")" * 159,
+        "x" + "+1" * 999,
+    ], ids=["parentheses", "sum-terms"])
+    def test_a_caller_at_the_recursion_limit_gets_expression_error(self, text):
+        # The fixed limits hold for callers a few hundred frames deep; a
+        # caller deeper still gets ExpressionError, from the parse or from
+        # compile, never RecursionError.
+        answer = _parse_at_depth(text, sys.getrecursionlimit() - 60)
+        assert isinstance(answer, str) and "nested too deeply" in answer, answer
 
 
 def _parse_at_depth(text, depth):
