@@ -210,6 +210,6 @@ def minimize_ratio_a(
     (as when a clamped probe rounds back onto ``xm``).
     """
     c = 1e-3 if cfg is None else cfg.c
-    recognizer = Recognizer(obj, interval, tol)
+    recognizer = Recognizer(interval, tol)
     return _drive(obj, tol, _ratio_a(interval, tol, c, recognizer.distinct,
                                      bracket_log), recognizer)

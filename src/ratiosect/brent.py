@@ -175,5 +175,5 @@ def brent_m_minimize(
     three of them can share the ordinate of one wall step.
     """
     c = 0.2 if cfg is None else cfg.c
-    recognizer = Recognizer(obj, interval, tol, spaced=True) if use_recognizers else None
+    recognizer = Recognizer(interval, tol, spaced=True) if use_recognizers else None
     return _drive(obj, tol, _brent(interval, tol, c, bracket_log), recognizer)

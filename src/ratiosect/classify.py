@@ -18,9 +18,8 @@ cases cheaply:
 * :class:`Recognizer` — both rules over one solver run, fed the point
   each evaluation returns, at O(1) cost per evaluation.  The solvers'
   driver feeds it for ratio-p, phase 1 of ratio-a and the modernized
-  Brent variant.  It rejects a run whose ordinates do not look monotone
-  itself, so it calls :func:`detect_monotone` only on a monotone-looking
-  run.
+  Brent variant.  It evaluates nothing: the driver evaluates each
+  monotone probe it asks for, placed and judged as in :func:`detect_monotone`.
 """
 
 from __future__ import annotations
@@ -29,14 +28,11 @@ from .core import (
     CountingObjective,
     FunctionClass,
     Interval,
-    MinimizeOutcome,
     Point2,
-    SolveStatus,
     Tolerance,
     e0,
 )
 
-_CONVERGED = SolveStatus.CONVERGED
 _FLAT = FunctionClass.FLAT_BOTTOM
 _INCREASING = FunctionClass.MONOTONE_INCREASING
 _DECREASING = FunctionClass.MONOTONE_DECREASING
@@ -79,29 +75,35 @@ def detect_monotone(
             if x not in interval:
                 raise ValueError(f"point x={x!r} outside {interval}")
 
-    ys = list(ys)
+    check = _monotone_check(list(ys), interval, tol, lambda point: None)
+    x = next(check, None)
+    while x is not None:
+        point = obj.evaluate(x)
+        try:
+            x = check.send(point)
+        except StopIteration as stop:
+            return stop.value
+    return None
+
+
+def _monotone_check(ys: list[float], interval: Interval, tol: Tolerance, feed):
+    """The rule of :func:`detect_monotone` on ordinates ``ys`` in abscissa
+    order, as a generator: it yields the abscissa of each probe, is sent
+    the point evaluated there, and returns its verdict.  A rejection after
+    a probe returns ``feed(u)``, or ``feed(v)`` if that is ``None``."""
     ordered = sorted(ys)
+    # All-equal ordinates land here too: either endpoint is a minimizer.
     if ys == ordered:
-        # Minimum would sit at the left endpoint; probe it and a point one
-        # tolerance step inside.  (All-equal ordinates land here as well:
-        # either endpoint is then a valid minimizer.)
-        direction = _INCREASING
-        end = interval.lo
-        inner = interval.lo + e0(tol, interval.lo)
+        direction, end, inward = _INCREASING, interval.lo, 1.0
     elif ys[::-1] == ordered:
-        direction = _DECREASING
-        end = interval.hi
-        inner = interval.hi - e0(tol, interval.hi)
+        direction, end, inward = _DECREASING, interval.hi, -1.0
     else:
         return None
-
-    u = obj.evaluate(end)
+    u = yield end
     if not u.y <= ordered[0]:
-        return None
-    v = obj.evaluate(inner)
-    if not u.y <= v.y:
-        return None
-    return direction, u
+        return feed(u)
+    v = yield end + inward * e0(tol, end)
+    return (direction, u) if u.y <= v.y else (feed(u) or feed(v))
 
 
 def detect_flat_bottom(w: list[Point2]) -> Point2 | None:
@@ -156,40 +158,34 @@ class Recognizer:
     A level qualifies with three abscissas.  With ``spaced=True`` (the
     modernized Brent flavour) they must also lie pairwise more than
     ``2*e0`` apart (:func:`separated_count`).  The first point to complete
-    a level decides, and the outcome's minimizer is that level's first
+    a level decides, and the verdict's minimizer is that level's first
     point: what :func:`detect_flat_bottom` gives on the points fed so far.
 
     The monotone check runs once, when the fourth distinct abscissa joins
-    and the budget leaves room for its two probes, which are then fed one
-    at a time.  Fed together they would give the same answer, as they
-    never complete two different levels: the second probe ``v`` is
-    evaluated only if the first, ``u``, has ``u.y <= min(ys)``, so a ``u``
-    that completes a level has ``u.y == min(ys)``, and the check then
+    and the four ordinates, in abscissa order, look monotone:
+    :meth:`observe` then asks for the endpoint probe ``u``, and
+    :meth:`probed`, handed each probe, asks for the inner one ``v`` or
+    answers.  Only a rejected check's probes are fed, one at a time.  Fed
+    together they would give the same answer, as they never complete two
+    different levels: ``v`` is evaluated only if ``u.y <= min(ys)``, so a
+    ``u`` that completes a level has ``u.y == min(ys)``, and the check then
     rejects only if ``v.y < u.y``, below every level there is.
-
-    The check's free rejection is made here, without a call: when the
-    four points' ordinates, in abscissa order, are neither non-decreasing
-    nor non-increasing, the check ends.  So :func:`detect_monotone` runs
-    only on a monotone-looking run.  Skipping it skips no error it would
-    raise: the recognizer drops repeated abscissas, and every solver
-    evaluates only inside its interval.
     """
 
-    def __init__(self, obj: CountingObjective, interval: Interval,
-                 tol: Tolerance, *, spaced: bool = False) -> None:
-        self.obj = obj
+    def __init__(self, interval: Interval, tol: Tolerance, *,
+                 spaced: bool = False) -> None:
         self.interval = interval
         self.tol = tol
         self.spaced = spaced
-        self.start = obj.count
         self.distinct: list[Point2] = []
         self.abscissas: set[float] = set()
         self.first: dict[float, int] = {}
         self.level_xs: dict[float, list[float]] = {}
+        self.check = None
 
-    def observe(self, point: Point2) -> MinimizeOutcome | None:
-        """Feed the point just evaluated; the run's outcome if a recognizer
-        fired, else ``None``."""
+    def observe(self, point: Point2) -> tuple[FunctionClass, Point2] | float | None:
+        """Feed the point just evaluated; a verdict ``(classification,
+        minimizer)``, the monotone check's first probe abscissa, or ``None``."""
         x, y = point
         abscissas = self.abscissas
         if x in abscissas:
@@ -206,25 +202,19 @@ class Recognizer:
             else:
                 xs.append(x)
                 if not self.spaced or separated_count(xs, self.tol) >= 3:
-                    return self._outcome(_FLAT, distinct[rank])
-        return self._monotone() if n == 3 else None
-
-    def _monotone(self) -> MinimizeOutcome | None:
-        obj = self.obj
-        count = obj.count
-        if count - self.start + 2 > self.tol.max_evaluations:
-            return None
-        (_, y0), (_, y1), (_, y2), (_, y3) = sorted(self.distinct)
-        if not (y0 <= y1 <= y2 <= y3 or y0 >= y1 >= y2 >= y3):
-            return None
-        verdict = detect_monotone(self.distinct, self.interval, obj, self.tol)
-        if verdict is not None:
-            return self._outcome(*verdict)
-        for point in obj.transcript[count:]:
-            if (found := self.observe(point)) is not None:
-                return found
+                    return _FLAT, distinct[rank]
+        if n == 3:
+            (_, y0), (_, y1), (_, y2), (_, y3) = sorted(distinct)
+            if y0 <= y1 <= y2 <= y3 or y0 >= y1 >= y2 >= y3:
+                self.check = _monotone_check([y0, y1, y2, y3], self.interval,
+                                             self.tol, self.observe)
+                return next(self.check)
         return None
 
-    def _outcome(self, cls: FunctionClass, p: Point2) -> MinimizeOutcome:
-        return MinimizeOutcome(p.x, p.y, self.obj.count - self.start, cls,
-                               _CONVERGED)
+    def probed(self, point: Point2) -> tuple[FunctionClass, Point2] | float | None:
+        """Hand back the probe last asked for; the next probe's abscissa, a
+        verdict, or ``None``.  A rejected check's probes are then fed in turn."""
+        try:
+            return self.check.send(point)
+        except StopIteration as stop:
+            return stop.value

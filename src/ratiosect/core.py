@@ -1,11 +1,11 @@
-"""Shared domain types for the univariate minimizers.
+"""Shared domain types for the univariate minimizers, and their driver.
 
-Every solver in this package works through a :class:`CountingObjective`:
-a wrapper that counts objective evaluations and records them, in order,
-as :class:`Point2` values.  The evaluation count is the performance metric
-everything else reports, so the wrapper deliberately never caches — asking
-for the same abscissa twice costs two evaluations.  A :class:`Point2` is
-an immutable ``(x, y)`` tuple, so it also compares equal to a plain tuple.
+Every solver in this package is a step generator that the private
+:func:`_drive` runs on a :class:`CountingObjective`: a wrapper that counts
+evaluations and records them, in order, as :class:`Point2` values.  The
+count is the performance metric everything else reports, so the wrapper
+never caches — asking for the same abscissa twice costs two evaluations.
+A :class:`Point2` is an immutable ``(x, y)`` tuple, equal to a plain one.
 
 Termination is shared across solvers: a run stops once the whole bracket
 ``[a, b]`` around the incumbent abscissa lies within twice the
@@ -122,7 +122,7 @@ class Tolerance:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         if not self.floor > 0.0:
             raise ValueError(f"floor must be positive, got {self.floor!r}")
-        if self.max_evaluations < 1:
+        if not isinstance(self.max_evaluations, int) or self.max_evaluations < 1:
             raise ValueError("max_evaluations must be a positive integer")
 
 
@@ -227,14 +227,15 @@ def _drive(
 
     ``steps`` runs its stop test, then yields what to evaluate and is sent
     what came of it.  An abscissa gets its point, which ``recognizer`` (if
-    any) has seen first; the recognizer's first outcome is the run's.  A
-    batch, a tuple of one or two abscissas, gets its point or pair of
-    points, unseen by the recognizer and evaluated only if the budget has
-    room for all; the empty batch (nothing left to probe) needs room for
-    one and gets ``()``.  With no room, nothing is evaluated, ``None`` is
-    sent and the run is ``budget_exhausted``; the generator then returns,
-    after at most one fallback abscissa.  It returns its incumbent
-    ``(x, y, classification)``.
+    any) has seen first; its first verdict ``(classification, point)``
+    ends the run, and each monotone probe it asks for is evaluated, given
+    room for two, and handed to ``recognizer.probed``.  A batch, a tuple
+    of one or two abscissas, gets its point or pair of points, unseen by
+    the recognizer and evaluated only if the budget has room for all; the
+    empty batch needs room for one and gets ``()``.  With no room, nothing
+    is evaluated, ``None`` is sent and the run is ``budget_exhausted``; the
+    generator then returns, after at most one fallback abscissa.  It
+    returns its incumbent ``(x, y, classification)``.
 
     An :class:`EvaluationError` propagates unchanged: the run ends with no
     outcome, and the points it evaluated stay in ``obj.transcript``.
@@ -251,12 +252,20 @@ def _drive(
             x = send(reply)
         except StopIteration as stop:
             x, y, kind = stop.value
-            return MinimizeOutcome(x, y, len(transcript) - start, kind, status)
+            break
         if x.__class__ is not tuple:
             if len(transcript) < limit:
                 reply = evaluate(x)
                 if observe is not None and (found := observe(reply)) is not None:
-                    return found
+                    # Not a verdict: the monotone check's endpoint probe, taken
+                    # with room for two, then its inner probe if asked for.
+                    if found.__class__ is not tuple and len(transcript) + 2 <= limit:
+                        found = recognizer.probed(evaluate(found))
+                        if found is not None and found.__class__ is not tuple:
+                            found = recognizer.probed(evaluate(found))
+                    if found.__class__ is tuple:
+                        kind, (x, y) = found
+                        break
             else:
                 status, reply = SolveStatus.BUDGET_EXHAUSTED, None
         elif len(x) < 2 and len(transcript) < limit:
@@ -265,3 +274,4 @@ def _drive(
             reply = evaluate(x[0]), evaluate(x[1])
         else:
             status, reply = SolveStatus.BUDGET_EXHAUSTED, None
+    return MinimizeOutcome(x, y, len(transcript) - start, kind, status)

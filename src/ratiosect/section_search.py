@@ -249,4 +249,4 @@ def minimize_ratio_p(
     the whole 1000-evaluation budget and report ``budget_exhausted``.
     """
     return _drive(obj, tol, _ratio_section(interval, tol, cfg.c, bracket_log),
-                  Recognizer(obj, interval, tol))
+                  Recognizer(interval, tol))

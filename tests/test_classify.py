@@ -1,12 +1,10 @@
 import math
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ratiosect import classify
 from ratiosect.classify import (
     Recognizer,
     detect_flat_bottom,
@@ -19,6 +17,7 @@ from ratiosect.core import (
     Interval,
     Point2,
     Tolerance,
+    _drive,
     e0,
 )
 
@@ -99,10 +98,9 @@ def test_separated_count_merges_abscissas_within_two_e0():
 
 # ---------------------------------------------------------------- recognizer
 
-# A budget of one evaluation leaves no room for the two monotone probes, so
-# these tests see the flat-bottom rule alone.  floor=0.3 makes 2*e0 a bit
-# over 0.6: abscissas 0.5 apart merge under the spaced rule, 1.0 apart not.
-FLAT_ONLY = Tolerance(epsilon=1e-9, floor=0.3, max_evaluations=1)
+# floor=0.3 makes 2*e0 a bit over 0.6: abscissas 0.5 apart merge under the
+# spaced rule, 1.0 apart not.
+FLAT_ONLY = Tolerance(epsilon=1e-9, floor=0.3)
 
 
 def drop_repeated_abscissas(w):
@@ -127,14 +125,16 @@ def spaced_reference(w, tol):
     return None
 
 
-def feed(recognizer, obj, batch):
-    """Record and observe each point, as a solver does after each
-    evaluation; the first hit ends the feed."""
+def feed(recognizer, fed, batch):
+    """Record and observe each point, as the driver does after each
+    evaluation; the first verdict ends the feed.  A monotone probe asked
+    for is not taken, as with no budget room for it, so these tests see
+    the flat-bottom rule alone."""
     for p in batch:
-        obj.transcript.append(p)
+        fed.append(p)
         out = recognizer.observe(p)
-        if out is not None:
-            return Point2(out.x_min, out.f_min)
+        if out.__class__ is tuple:
+            return out[1]
     return None
 
 
@@ -152,11 +152,11 @@ batched_runs = st.lists(
 @settings(max_examples=400)
 @given(batched_runs)
 def test_recognizer_matches_full_scan(batches):
-    obj = CountingObjective(lambda x: 0.0)
-    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY)
+    fed = []
+    recognizer = Recognizer(Interval(0.0, 6.0), FLAT_ONLY)
     for batch in batches:
-        hit = feed(recognizer, obj, batch)
-        assert hit == detect_flat_bottom(drop_repeated_abscissas(obj.transcript))
+        hit = feed(recognizer, fed, batch)
+        assert hit == detect_flat_bottom(drop_repeated_abscissas(fed))
         if hit is not None:
             break
 
@@ -164,11 +164,11 @@ def test_recognizer_matches_full_scan(batches):
 @settings(max_examples=400)
 @given(batched_runs)
 def test_spaced_recognizer_matches_brent_m_rule(batches):
-    obj = CountingObjective(lambda x: 0.0)
-    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
+    fed = []
+    recognizer = Recognizer(Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
     for batch in batches:
-        hit = feed(recognizer, obj, batch)
-        assert hit == spaced_reference(obj.transcript, FLAT_ONLY)
+        hit = feed(recognizer, fed, batch)
+        assert hit == spaced_reference(fed, FLAT_ONLY)
         if hit is not None:
             break
 
@@ -178,10 +178,18 @@ def test_recognizer_first_completed_level_decides():
     # would complete level 2.0 (first point at rank 0).
     w = pts((0.0, 2.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0), (4.0, 1.0), (5.0, 2.0))
     for spaced in (False, True):
-        obj = CountingObjective(lambda x: 0.0)
-        recognizer = Recognizer(obj, Interval(0.0, 5.0), FLAT_ONLY, spaced=spaced)
-        assert feed(recognizer, obj, w) == Point2(1.0, 1.0)
-        assert obj.count == 5
+        fed = []
+        recognizer = Recognizer(Interval(0.0, 5.0), FLAT_ONLY, spaced=spaced)
+        assert feed(recognizer, fed, w) == Point2(1.0, 1.0)
+        assert len(fed) == 5
+
+
+def yielding(xs):
+    """A solver's steps that ask for ``xs`` in turn, then return the last
+    point as an interior minimum."""
+    for x in xs:
+        point = yield x
+    return point.x, point.y, FunctionClass.STRICT_INTERIOR
 
 
 def test_monotone_probes_complete_at_most_one_level():
@@ -190,11 +198,8 @@ def test_monotone_probes_complete_at_most_one_level():
     # below it and rejects the hypothesis, and so joins no level.
     f = lambda x: 0.5 if 0.0 < x < 1.0 else (1.0 if x <= 5.0 else x - 4.0)
     obj = CountingObjective(f)
-    recognizer = Recognizer(obj, Interval(0.0, 10.0), TOL)
-    assert feed(recognizer, obj, sample(f, [4.0, 5.0, 6.0])) is None
-    point = Point2(7.0, f(7.0))
-    obj.transcript.append(point)
-    out = recognizer.observe(point)
+    out = _drive(obj, TOL, yielding([4.0, 5.0, 6.0, 7.0]),
+                 Recognizer(Interval(0.0, 10.0), TOL))
     u, v = obj.transcript[4:]
     assert (u.x, u.y) == (0.0, 1.0)
     assert v.y < min(p.y for p in obj.transcript[:5])
@@ -207,28 +212,23 @@ def test_spaced_recognizer_counts_the_level_first_abscissa():
     # Level 1.0 gets 0.0, 3.0, 3.5 and 6.0; 3.0 and 3.5 merge, so only
     # 0.0, 3.0 and 6.0 are three abscissas more than 2*e0 apart, and the
     # first of them is the level's first point.
-    obj = CountingObjective(lambda x: 0.0)
-    recognizer = Recognizer(obj, Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
+    fed = []
+    recognizer = Recognizer(Interval(0.0, 6.0), FLAT_ONLY, spaced=True)
     for x in (0.0, 3.0, 3.5):
-        assert feed(recognizer, obj, pts((x, 1.0))) is None
-    assert feed(recognizer, obj, pts((6.0, 1.0))) == Point2(0.0, 1.0)
+        assert feed(recognizer, fed, pts((x, 1.0))) is None
+    assert feed(recognizer, fed, pts((6.0, 1.0))) == Point2(0.0, 1.0)
 
 
 def test_recognizer_runs_monotone_check_on_four_distinct_abscissas():
-    f = lambda x: x
-    obj = CountingObjective(f)
-    recognizer = Recognizer(obj, Interval(0.0, 10.0), TOL)
-    # A repeated abscissa neither counts toward the four nor reaches
-    # detect_monotone, which would reject it.
-    assert feed(recognizer, obj, sample(f, [5.0, 7.5, 7.5, 6.0])) is None
-    assert obj.count == 4
-    point = Point2(9.0, 9.0)
-    obj.transcript.append(point)
-    out = recognizer.observe(point)
-    assert out is not None
+    # A repeated abscissa neither counts toward the four nor reaches the
+    # check, which would reject it.
+    obj = CountingObjective(lambda x: x)
+    out = _drive(obj, TOL, yielding([5.0, 7.5, 7.5, 6.0, 9.0]),
+                 Recognizer(Interval(0.0, 10.0), TOL))
     assert out.classification is FunctionClass.MONOTONE_INCREASING
     # Five fed points, then the two endpoint probes.
     assert (out.x_min, out.evaluations) == (0.0, 7)
+    assert [p.x for p in obj.transcript[4:]] == [9.0, 0.0, e0(TOL, 0.0)]
 
 
 @settings(max_examples=400)
@@ -244,18 +244,14 @@ def test_recognizer_free_rejection_matches_detect_monotone(xs, ys):
     points = pts(*zip(xs, ys))
     interval = Interval(-10.0, 10.0)
     reference = CountingObjective(lambda x: 0.0)
-    free = detect_monotone(points, interval, reference, TOL) is None
-    free = free and reference.count == 0
-    obj = CountingObjective(lambda x: 0.0)
-    recognizer = Recognizer(obj, interval, TOL)
-    with mock.patch.object(classify, "detect_monotone",
-                           wraps=detect_monotone) as spy:
-        out = feed(recognizer, obj, points)
-    # The recognizer rejects by itself exactly the runs detect_monotone
-    # would reject without a probe, and hands it every other run.
-    assert spy.called is not free
-    if free:
-        assert out is None and obj.count == 4
+    detect_monotone(points, interval, reference, TOL)
+    recognizer = Recognizer(interval, TOL)
+    asked = [recognizer.observe(p) for p in points]
+    assert asked[:3] == [None] * 3
+    if reference.count == 0:
+        assert asked[3] is None
+    else:
+        assert asked[3] == reference.transcript[0].x
 
 
 # ------------------------------------------------------------------ monotone

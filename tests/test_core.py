@@ -85,6 +85,14 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(max_evaluations=0)
 
+    @pytest.mark.parametrize("budget", [math.nan, 2.5, 3.0])
+    def test_budget_must_be_an_integer(self, budget):
+        # A NaN budget passed the positivity test, and every solver then
+        # failed with something other than EvaluationError; 2.5 let five
+        # solvers spend 3 evaluations.
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Tolerance(max_evaluations=budget)
+
 
 @given(x=moderate)
 def test_e0_positive_and_even(x):
@@ -145,6 +153,72 @@ def test_budget_edges(method, budget):
     assert obj.count == spent
     if budget == 1 and method in ("bisect", "golden"):
         assert out.x_min == 0.5
+
+
+@pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(0, 1)])
+@pytest.mark.parametrize("budget", range(3, 10))
+@pytest.mark.parametrize("slope", [1, -1])
+@pytest.mark.parametrize("method", ["ratio-p", "ratio-a", "brent-m"])
+def test_monotone_check_budget_edges(method, slope, budget, interval):
+    # The fourth distinct abscissa is the fourth evaluation; the check
+    # runs then only if the budget has room for both probes.  With int
+    # ends the minimizer is the int endpoint itself.
+    obj = CountingObjective(lambda x: slope * x)
+    out = solve_one(MethodSpec(method), obj, interval,
+                    Tolerance(max_evaluations=budget))
+    if budget < 6:
+        assert (out.evaluations, out.status) == (budget, SolveStatus.BUDGET_EXHAUSTED)
+        assert out.classification is FunctionClass.STRICT_INTERIOR
+    else:
+        end = interval.lo if slope > 0 else interval.hi
+        kind = (FunctionClass.MONOTONE_INCREASING if slope > 0
+                else FunctionClass.MONOTONE_DECREASING)
+        assert out == (end, slope * end, 6, kind, SolveStatus.CONVERGED)
+        assert type(out.x_min) is type(end)
+        assert [p.x for p in obj.transcript[4:]] == [
+            end, end + slope * e0(Tolerance(), end)]
+    assert obj.count == out.evaluations
+
+
+@pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(0, 1)])
+@pytest.mark.parametrize("budget", range(4, 9))
+@pytest.mark.parametrize("method, own_probe", [
+    ("ratio-p", 0.7952000000000001), ("brent-m", 0.746853278208043)])
+def test_rejected_monotone_check_budget_edges(method, own_probe, budget, interval):
+    # (x - 0.9)^2 looks decreasing on the first four points, so the check
+    # probes 1.0 and one e0 inside it, and rejects.  With room for only
+    # one probe the solver spends its fifth evaluation on its own step.
+    # (ratio-a's first four points do not look monotone, so it never probes.)
+    obj = CountingObjective(lambda x: (x - 0.9) ** 2)
+    out = solve_one(MethodSpec(method), obj, interval,
+                    Tolerance(max_evaluations=budget))
+    assert (out.evaluations, out.status) == (budget, SolveStatus.BUDGET_EXHAUSTED)
+    assert out.classification is FunctionClass.STRICT_INTERIOR
+    assert obj.count == budget
+    probes = [p.x for p in obj.transcript[4:6]]
+    if budget == 5:
+        assert probes == [own_probe]
+    elif budget >= 6:
+        assert probes == [1.0, 1.0 - e0(Tolerance(), 1.0)]
+
+
+@pytest.mark.parametrize("target, kind", [
+    (lambda x: max(abs(x - 0.5), 0.2), FunctionClass.FLAT_BOTTOM),
+    (lambda x: x, FunctionClass.MONOTONE_INCREASING),
+    (lambda x: (x - 0.3) ** 2, FunctionClass.STRICT_INTERIOR),
+])
+@pytest.mark.parametrize("method", ["ratio-p", "ratio-a", "brent-m"])
+def test_solve_on_a_used_objective_counts_only_its_own_evaluations(
+        method, target, kind):
+    fresh = solve_one(MethodSpec(method), CountingObjective(target),
+                      Interval(0.0, 1.0), Tolerance())
+    obj = CountingObjective(target)
+    for x in (0.1, 0.2, 0.9):
+        obj.evaluate(x)
+    out = solve_one(MethodSpec(method), obj, Interval(0.0, 1.0), Tolerance())
+    assert out == fresh
+    assert out.classification is kind
+    assert out.evaluations == obj.count - 3
 
 
 @pytest.mark.parametrize("method", _METHODS)
