@@ -10,7 +10,9 @@ pairs the change won, whether the change meets the gain rule and stays
 within the metric's bound, and every run's value, plus each run's correctness,
 failures and per-configuration evaluation totals.  ``--trace-pairs`` adds
 that many traced pairs (``--trace 1``, ``TRACE_SECONDS`` long) with every
-per-layer metric.
+per-layer metric.  Last, each checkout that has ``scripts/opcount.py`` runs
+it once; both JSON outputs go into the file beside the Python version, as
+opcode counts compare only under one interpreter.
 
 Example, from the change checkout with the parent unpacked beside it::
 
@@ -94,6 +96,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     result["totals"] = json.loads(record.read_text())["config_evaluation_totals"]
     result["values"] = {k: m["value"] for k, m in result["metrics"].items()}
     return result
+
+
+def run_opcount(tree: Path) -> dict | None:
+    """``scripts/opcount.py``'s JSON output in ``tree``, or ``None`` if the
+    checkout has no such script."""
+    if not (tree / "scripts" / "opcount.py").is_file():
+        return None
+    done = subprocess.run([sys.executable, "scripts/opcount.py"], cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def run_pairs(trees: dict[str, Path], workloads: list[str], seeds: dict[str, list[int]],
@@ -201,6 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         for w in workloads:
             out["workloads"][w]["per_layer_trace_pairs"] = trace_summary(
                 traced[w], TRACE_SECONDS, w)
+    out["opcount"] = {"python": platform.python_version(),
+                      **{side: run_opcount(trees[side]) for side in SIDES}}
     path = trees["change"] / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

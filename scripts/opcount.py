@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Count the Python opcodes and evaluations of one benchmark pass.
 
-Runs one pass of the ``suite`` and ``sweep-c`` workloads' units, built
-by ``bench/workloads.py``, under ``sys.settrace`` with opcode events on
-(``f_trace_opcodes``).  Each opcode is counted against the module of the
-code object that executes it; an evaluation is a call of
-``CountingObjective.evaluate``.  One untraced pass runs first, so that
-imports and caches are warm and every counted pass does the same work.
+Runs one pass of the ``suite`` and ``sweep-c`` workloads' units, and the
+first ``RANDOM_EXPR_TARGETS`` units of ``random-expr`` at seed ``SEED``,
+all built by ``bench/workloads.py``, under ``sys.settrace`` with opcode
+events on (``f_trace_opcodes``).  Each opcode is counted against the
+module of the code object that executes it (a parsed expression's
+function is ``<expression>``) and against the configuration of the
+solver call it runs in, labelled as the benchmark labels it
+(``ratio-a(c=0.001)``); opcodes outside every solver call count under
+``OUTSIDE``.  An evaluation is a call of ``CountingObjective.evaluate``.
+One untraced pass runs first, so that imports and caches are warm and
+every counted pass does the same work.
 
 The count does not depend on the host's load or clock, so two runs of
 the same tree under the same interpreter agree exactly.  It sees only
@@ -17,7 +22,8 @@ into C looks free here.  Put the count beside the timings of
 versions, so counts compare only under one interpreter.
 
 Prints JSON: the Python version, and per workload the total opcodes,
-the evaluations and the opcodes per module::
+the evaluations, the opcodes per module, and the opcodes and
+evaluations per configuration::
 
     python3 scripts/opcount.py
 """
@@ -33,19 +39,23 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("suite", "sweep-c")
-#: ``bench/workloads.py`` takes a seed; these two workloads do not use it.
+#: Workload -> how many of its units one counted pass runs (``None``: all).
+WORKLOADS: dict[str, int | None] = {"suite": None, "sweep-c": None, "random-expr": 600}
+#: ``bench/workloads.py`` takes a seed; only random-expr's draw uses it.
 SEED = 1
+#: The configuration of opcodes and evaluations outside every solver call.
+OUTSIDE = "-"
 
 
-def warm_units(name: str) -> list[Callable[[], object]]:
-    """The units of one pass of workload ``name``, each run once."""
+def warm_units(name: str, limit: int | None = None) -> list[Callable[[], object]]:
+    """The first ``limit`` units (all if ``None``) of one pass of workload
+    ``name``, each run once."""
     for path in (ROOT / "bench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     from workloads import WORKLOADS as BUILDERS
 
-    units = BUILDERS[name](ROOT, SEED).units
+    units = BUILDERS[name](ROOT, SEED).units[:limit]
     for unit in units:
         unit()
     return units
@@ -53,26 +63,39 @@ def warm_units(name: str) -> list[Callable[[], object]]:
 
 def count(units: Iterable[Callable[[], object]]) -> dict:
     """Opcodes and evaluations of calling each of ``units`` once, traced."""
-    from ratiosect import CountingObjective
+    from ratiosect import CountingObjective, MethodSpec
+    from tracing import SOLVERS
 
     evaluate_code = CountingObjective.evaluate.__code__
+    solver_codes = {fn.__code__: method for fn, method in SOLVERS.items()}
     by_module: Counter[str] = Counter()
-    evaluations = 0
+    by_config: Counter[str] = Counter()
+    evaluations: Counter[str] = Counter()
+    # The running solver call's configuration and frame.
+    current = [OUTSIDE, None]
     tracers: dict[str, Callable] = {}
 
     def tracer_for(module: str) -> Callable:
         def trace(frame, event, arg):
             if event == "opcode":
                 by_module[module] += 1
+                by_config[current[0]] += 1
+            elif event == "return" and frame is current[1]:
+                current[:] = OUTSIDE, None
             return trace
         return tracers.setdefault(module, trace)
 
     def on_call(frame, event, arg):
-        nonlocal evaluations
-        if frame.f_code is evaluate_code:
-            evaluations += 1
+        code = frame.f_code
+        if code is evaluate_code:
+            evaluations[current[0]] += 1
+        elif code in solver_codes and current[1] is None:
+            # Labelled as bench/tracing.py labels a solve.
+            method, cfg = solver_codes[code], frame.f_locals.get("cfg")
+            c = MethodSpec(method).effective_c if cfg is None else cfg.c
+            current[:] = method if c is None else f"{method}(c={c:g})", frame
         frame.f_trace_opcodes = True
-        return tracer_for(frame.f_globals.get("__name__", "?"))
+        return tracer_for(frame.f_globals.get("__name__") or code.co_filename)
 
     # With the collector off, no gc callback runs Python code mid-count.
     collecting = gc.isenabled()
@@ -88,15 +111,20 @@ def count(units: Iterable[Callable[[], object]]) -> dict:
             gc.enable()
     return {
         "opcodes": sum(by_module.values()),
-        "evaluations": evaluations,
+        "evaluations": sum(evaluations.values()),
         "by_module": dict(sorted(by_module.items())),
+        "by_config": {config: {"opcodes": by_config[config],
+                               "evaluations": evaluations[config]}
+                      for config in sorted(by_config.keys() | evaluations.keys())},
     }
 
 
 def main() -> int:
     result = {
         "python": platform.python_version(),
-        "workloads": {name: count(warm_units(name)) for name in WORKLOADS},
+        "random_expr_slice": {"seed": SEED, "targets": WORKLOADS["random-expr"]},
+        "workloads": {name: count(warm_units(name, limit))
+                      for name, limit in WORKLOADS.items()},
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -10,8 +10,9 @@ the best point, whenever the vertex is unusable.
 It is one step generator, run by the private driver of
 :mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
 steps at ``c = 0.5``, recognizers included, so degenerate targets finish
-as fast.  Phase 2 runs on six floats, with :func:`parabola_vertex`'s
-formula, and yields each probe as a batch of one, unseen by the recognizer.
+as fast.  At the hand-over phase 2 detaches the recognizer from the driver;
+it then runs on six floats, with :func:`parabola_vertex`'s formula written
+out, and yields each probe as a plain abscissa.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     MinimizeOutcome,
     Point2,
     Tolerance,
+    _DETACH,
     _drive,
 )
 from .section_search import RatioConfig, _ratio_section
@@ -63,21 +65,6 @@ class BracketTriple:
         return self.right.x - self.left.x
 
 
-def _vertex(xl: float, yl: float, xm: float, ym: float, xr: float,
-            yr: float) -> float | None:
-    """The vertex formula of :func:`parabola_vertex` on bare floats;
-    ``None`` when the denominator vanishes."""
-    denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
-    if denominator == 0.0:
-        return None
-    numerator = (
-        yl * (xm * xm - xr * xr)
-        + ym * (xr * xr - xl * xl)
-        + yr * (xl * xl - xm * xm)
-    )
-    return 0.5 * numerator / denominator
-
-
 def parabola_vertex(t: BracketTriple) -> float:
     """Abscissa of the vertex of the parabola through the triple.
 
@@ -91,10 +78,15 @@ def parabola_vertex(t: BracketTriple) -> float:
     denominator vanishes.
     """
     (xl, yl), (xm, ym), (xr, yr) = t.left, t.mid, t.right
-    r = _vertex(xl, yl, xm, ym, xr, yr)
-    if r is None:
+    denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
+    if denominator == 0.0:
         raise CollinearPointsError(f"collinear points at x={xl!r}, {xm!r}, {xr!r}")
-    return r
+    numerator = (
+        yl * (xm * xm - xr * xr)
+        + ym * (xr * xr - xl * xl)
+        + yr * (xl * xl - xm * xm)
+    )
+    return 0.5 * numerator / denominator
 
 
 def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
@@ -138,6 +130,9 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             return stop.value
 
     # --- Phase 2: successive parabolic interpolation with guards --------
+    # The recognizer sees no phase-2 probe: detached, the driver evaluates
+    # each plain abscissa as it would classical Brent's.
+    yield _DETACH
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
     (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
@@ -147,18 +142,31 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
         tiny = epsilon * abs(xm) + floor
         if xr - xl <= 2.0 * tiny:
             break
-        r = _vertex(xl, yl, xm, ym, xr, yr)
-        if r is None or not (xl < r < xr and abs(r - xm) >= tiny):
+        # parabola_vertex's formula, term for term.  A vanishing
+        # denominator has no vertex: r = xl fails the test below.
+        denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
+        if denominator == 0.0:
+            r = xl
+        else:
+            r = 0.5 * (
+                yl * (xm * xm - xr * xr)
+                + ym * (xr * xr - xl * xl)
+                + yr * (xl * xl - xm * xm)
+            ) / denominator
+        if not (xl < r < xr and abs(r - xm) >= tiny):
             # Ratio fallback toward the farther endpoint (ties go right),
             # clamped so the probe keeps the minimum displacement from mid.
             s = xl if xm - xl > xr - xm else xr
             r = c * s + (1.0 - c) * xm
             if abs(r - xm) < tiny:
                 r = xm + tiny if s > xm else xm - tiny
-        # A batch of one, so the recognizer does not see it.  The
-        # displacement guard can leave no admissible abscissa inside the
-        # bracket (the empty batch): it is already at resolution.
-        point = yield (r,) if xl < r < xr else ()
+            # The displacement guard can leave no admissible abscissa
+            # inside the bracket, or round back onto xm (tiny under half
+            # an ulp of it), which is evaluated already: it is at
+            # resolution (the empty batch).
+            if r == xm or not xl < r < xr:
+                r = ()
+        point = yield r
         if not point:
             break
         y = point[1]
@@ -206,8 +214,9 @@ def minimize_ratio_a(
     Phase 2 keeps the triple in six floats, validated once at the
     hand-over.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly
     lowest: the probe lies inside ``(xl, xr)`` at least ``e0`` from
-    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom
-    (as when a clamped probe rounds back onto ``xm``).
+    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom.
+    A clamped probe that rounds back onto ``xm`` (``e0`` under half an ulp
+    of ``xm``) is not taken: the run ends at resolution.
     """
     c = 1e-3 if cfg is None else cfg.c
     recognizer = Recognizer(interval, tol)

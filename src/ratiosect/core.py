@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Generator, NamedTuple
 
 _isfinite = math.isfinite
 _tuple_new = tuple.__new__
+_partial_call = partial.__call__
 
 
 class FunctionClass(Enum):
@@ -161,10 +163,19 @@ class CountingObjective:
 
     An instance is single-run state — give each minimization its own
     wrapper and never share one between concurrent runs.
+
+    ``target`` is kept as passed.  A :class:`functools.partial` subclass
+    that keeps ``partial``'s ``__call__``, such as a parsed
+    :class:`~ratiosect.expressions.Expression`, is called through a plain
+    ``partial`` of the same function and arguments: before Python 3.12 a
+    heap subclass of ``partial`` is called without vectorcall.
     """
 
     def __init__(self, target: Callable[[float], float]):
         self.target = target
+        if isinstance(target, partial) and type(target).__call__ is _partial_call:
+            target = partial(target.func, *target.args, **target.keywords)
+        self._call = target
         self.transcript: list[Point2] = []
 
     @property
@@ -184,7 +195,7 @@ class CountingObjective:
         try:
             # TypeError covers complex results: a negative base under a
             # fractional float power yields complex rather than raising.
-            y = float(self.target(x))
+            y = float(self._call(x))
         except EvaluationError:
             raise
         except (ValueError, TypeError, ArithmeticError) as exc:
@@ -216,6 +227,11 @@ class MinimizeOutcome(NamedTuple):
         return self.status is _CONVERGED
 
 
+#: Yielded by a step generator to stop feeding the recognizer: a tuple, so
+#: the driver's per-abscissa path never tests for it.
+_DETACH = ("detach",)
+
+
 def _drive(
     obj: CountingObjective,
     tol: Tolerance,
@@ -229,13 +245,17 @@ def _drive(
     what came of it.  An abscissa gets its point, which ``recognizer`` (if
     any) has seen first; its first verdict ``(classification, point)``
     ends the run, and each monotone probe it asks for is evaluated, given
-    room for two, and handed to ``recognizer.probed``.  A batch, a tuple
-    of one or two abscissas, gets its point or pair of points, unseen by
-    the recognizer and evaluated only if the budget has room for all; the
-    empty batch needs room for one and gets ``()``.  With no room, nothing
-    is evaluated, ``None`` is sent and the run is ``budget_exhausted``; the
-    generator then returns, after at most one fallback abscissa.  It
-    returns its incumbent ``(x, y, classification)``.
+    room for two, and handed to ``recognizer.probed``.  A batch, a pair of
+    abscissas, gets its pair of points, unseen by the recognizer and
+    evaluated only if the budget has room for both; the empty batch needs
+    room for one and gets ``()``.  With no room, nothing is evaluated,
+    ``None`` is sent and the run is ``budget_exhausted``; the generator
+    then returns, after at most one fallback abscissa.  It returns its
+    incumbent ``(x, y, classification)``.
+
+    ``_DETACH`` evaluates nothing and is sent ``None``.  The recognizer
+    sees no point after it, so the run's later abscissas take the path of
+    a run with no recognizer.
 
     An :class:`EvaluationError` propagates unchanged: the run ends with no
     outcome, and the points it evaluated stay in ``obj.transcript``.
@@ -268,10 +288,12 @@ def _drive(
                         break
             else:
                 status, reply = SolveStatus.BUDGET_EXHAUSTED, None
-        elif len(x) < 2 and len(transcript) < limit:
-            reply = x and evaluate(x[0])
         elif len(x) == 2 and len(transcript) + 2 <= limit:
             reply = evaluate(x[0]), evaluate(x[1])
+        elif x is _DETACH:
+            observe = reply = None
+        elif not x and len(transcript) < limit:
+            reply = ()
         else:
             status, reply = SolveStatus.BUDGET_EXHAUSTED, None
     return MinimizeOutcome(x, y, len(transcript) - start, kind, status)

@@ -7,18 +7,23 @@ from hypothesis import strategies as st
 from ratiosect.active_search import (
     BracketTriple,
     CollinearPointsError,
+    _ratio_a,
+    _scan_for_triple,
     minimize_ratio_a,
     parabola_vertex,
 )
 from ratiosect.benchsuite import benchmark_function
 from ratiosect.brent import brent_m_minimize, brent_minimize
+from ratiosect.classify import Recognizer
 from ratiosect.core import (
     CountingObjective,
     EvaluationError,
     FunctionClass,
     Interval,
     Point2,
+    SolveStatus,
     Tolerance,
+    _drive,
     e0,
 )
 from ratiosect.expressions import parse_expression
@@ -186,6 +191,53 @@ def test_probes_keep_minimum_displacement():
         assert abs(p.x - best.x) >= e0(TOL, best.x) * (1.0 - 1e-12)
         if p.y < best.y:
             best = p
+
+
+def test_clamped_probe_that_rounds_onto_mid_ends_the_run():
+    # An interval a few ulps wide with a tolerance far below an ulp: the
+    # clamped fallback xm +- e0 rounds back onto xm.  Phase 2 ends at
+    # resolution instead of evaluating xm a second time (5 evaluations,
+    # xm at the first and the fifth, and a flat_bottom verdict, before).
+    f = lambda x: abs(x - 1.0592547469349431) ** 1.1150575241423124
+    obj = CountingObjective(f)
+    out = minimize_ratio_a(obj, Interval(1.0592547469349416, 1.059254746934944),
+                           Tolerance(1.48e-94, 1.2e-214, 36))
+    xs = [p.x for p in obj.transcript]
+    assert len(set(xs)) == len(xs) == out.evaluations == 4
+    assert out.classification is FunctionClass.STRICT_INTERIOR
+    assert out.status is SolveStatus.CONVERGED
+    assert out.x_min == 1.059254746934943
+
+
+class SpyRecognizer(Recognizer):
+    """A recognizer that keeps every point the driver shows it."""
+
+    def __init__(self, interval, tol):
+        super().__init__(interval, tol)
+        self.seen = []
+
+    def observe(self, point):
+        self.seen.append(point)
+        return super().observe(point)
+
+
+@pytest.mark.parametrize("f, interval", [
+    (lambda x: (x - 1.3) ** 2 + 2.0, Interval(0.0, 4.0)),
+    (lambda x: abs(x - 0.3) ** 1.5, Interval(-2.0, 1.0)),
+    (benchmark_function(12).evaluator, benchmark_function(12).interval),
+])
+def test_recognizer_sees_no_probe_after_the_hand_over(f, interval):
+    spy = SpyRecognizer(interval, TOL)
+    obj = CountingObjective(f)
+    out = _drive(obj, TOL, _ratio_a(interval, TOL, 1e-3, spy.distinct, None), spy)
+    assert out == minimize_ratio_a(CountingObjective(f), interval, TOL)
+    # It saw phase 1 up to the point that completed a bracketing triple,
+    # and none of phase 2's probes.
+    seen = len(spy.seen)
+    assert 0 < seen < out.evaluations
+    assert spy.seen == obj.transcript[:seen]
+    assert _scan_for_triple(spy.distinct) is not None
+    assert _scan_for_triple(spy.distinct[:-1]) is None
 
 
 @given(

@@ -1,3 +1,7 @@
+import json
+import platform
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import load_script
@@ -113,3 +117,47 @@ def test_workload_summary_folds_equal_totals(same_totals):
     else:
         assert out["config_evaluation_totals_one_pass_per_seed"] == {
             7: {"bisect": 7}, 8: {"bisect": 8}}
+
+
+def _fake_run(cmd, cwd, **kwargs):
+    """``subprocess.run`` of one ``bench/run.py`` or ``scripts/opcount.py``
+    run: the change side is twice as fast, and its record says so too."""
+    assert kwargs["check"] and kwargs["capture_output"]
+    if cmd[1] == "scripts/opcount.py":
+        return SimpleNamespace(stdout=json.dumps({"python": "3.x", "tree": cwd.name}))
+    args = dict(zip(cmd[2::2], cmd[3::2]))
+    record = (cwd / "bench" / "results" /
+              f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json")
+    record.parent.mkdir(parents=True, exist_ok=True)
+    record.write_text(json.dumps({"config_evaluation_totals": {"bisect": 10}}))
+    value = 2.0 if cwd.name == "change" else 1.0
+    line = {"correct": True, "failed": 0, "metrics": {"solves_per_s": {"value": value}}}
+    return SimpleNamespace(stdout="warming up\n" + json.dumps(line) + "\n")
+
+
+@pytest.mark.parametrize("with_parent_opcount", [True, False])
+def test_main_records_both_opcounts_beside_the_pairs(tmp_path, monkeypatch,
+                                                     with_parent_opcount):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, tree in trees.items():
+        if side == "change" or with_parent_opcount:
+            (tree / "scripts").mkdir(parents=True)
+            (tree / "scripts" / "opcount.py").write_text("")
+        tree.mkdir(exist_ok=True)
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}],
+    }))
+    monkeypatch.setattr(pairs_script.subprocess, "run", _fake_run)
+    assert pairs_script.main(["--parent", str(trees["parent"]), "--change",
+                              str(trees["change"]), "--number", "3", "--pairs", "2"]) == 0
+    out = json.loads((trees["change"] / "BENCH_3.json").read_text())
+    assert out["opcount"] == {
+        "python": platform.python_version(),
+        "parent": {"python": "3.x", "tree": "parent"} if with_parent_opcount else None,
+        "change": {"python": "3.x", "tree": "change"},
+    }
+    summary = out["workloads"]["w"]
+    assert summary["seeds"] == [1, 2]
+    assert summary["metrics"]["solves_per_s"]["change_wins"] == 2
+    assert summary["config_totals_identical_in_every_pair"]

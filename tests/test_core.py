@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from ratiosect.core import (
     halfway,
     stop_test,
 )
+from ratiosect.expressions import Expression, parse_expression
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 moderate = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -395,6 +398,43 @@ class TestCountingObjective:
         with pytest.raises(EvaluationError, match=r"^objective returned -inf at x=2\.0$") as returned:
             CountingObjective(lambda x: -math.inf).evaluate(2.0)
         assert returned.value.x == 2.0
+
+    @given(
+        shape=st.sampled_from([
+            "{0}*abs(x - {1})^{2} + {3}",
+            "sin({0}*x) / ({1} + x^2) - {2}^{3}",
+            "max({0}, x, {1}) * pow(x, {2}) + {3}",
+        ]),
+        literals=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=4,
+                          max_size=4),
+        x=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    def test_parsed_expression_points_match_calling_it(self, shape, literals, x):
+        # The wrapper calls an Expression through a plain partial of its
+        # function and literals: same points, bit for bit, same failures.
+        f = parse_expression(shape.format(*map(repr, literals)))
+        obj = CountingObjective(f)
+        assert obj.target is f and isinstance(obj.target, Expression)
+        try:
+            want = f(x)
+        except (ValueError, ArithmeticError):
+            want = math.nan
+        if math.isfinite(want):
+            point = obj.evaluate(x)
+            assert (point.x.hex(), point.y.hex()) == (x.hex(), want.hex())
+        else:
+            with pytest.raises(EvaluationError):
+                obj.evaluate(x)
+            assert obj.count == 0
+
+    def test_partial_subclass_with_its_own_call_is_called_through_it(self):
+        class Doubled(partial):
+            def __call__(self, x):
+                return 2.0 * super().__call__(x)
+
+        obj = CountingObjective(Doubled(operator.add, 1.0))
+        assert obj.evaluate(3.0) == (3.0, 8.0)
+        assert CountingObjective(partial(operator.add, 1.0)).evaluate(3.0) == (3.0, 4.0)
 
 
 def test_outcome_converged_flag():
