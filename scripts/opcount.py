@@ -13,6 +13,12 @@ solver call it runs in, labelled as the benchmark labels it
 One untraced pass runs first, so that imports and caches are warm and
 every counted pass does the same work.
 
+It also counts one first parse of a new shape: the parser's shape cache
+(``expressions._SHAPES``) is emptied, then ``FIRST_PARSE``, a text of
+random-expr's shape, is parsed, so the count covers tokenizing, the
+parser and generating the shape's source.  ``compile``, which turns that
+source into the shape's function, is one C call and so one opcode.
+
 The count does not depend on the host's load or clock, so two runs of
 the same tree under the same interpreter agree exactly.  It sees only
 Python bytecode: work done in C (``sorted``, ``float()``, ``math``) is
@@ -21,9 +27,9 @@ into C looks free here.  Put the count beside the timings of
 ``bench/run.py``, never in their place.  Bytecode differs between Python
 versions, so counts compare only under one interpreter.
 
-Prints JSON: the Python version, and per workload the total opcodes,
-the evaluations, the opcodes per module, and the opcodes and
-evaluations per configuration::
+Prints JSON: the Python version, and per workload and for the first
+parse the total opcodes, the evaluations, the opcodes per module, and the
+opcodes and evaluations per configuration::
 
     python3 scripts/opcount.py
 """
@@ -45,20 +51,40 @@ WORKLOADS: dict[str, int | None] = {"suite": None, "sweep-c": None, "random-expr
 SEED = 1
 #: The configuration of opcodes and evaluations outside every solver call.
 OUTSIDE = "-"
+#: The text whose first parse is counted: random-expr's shape.
+FIRST_PARSE = "2.5*abs(x - 0.75)^1.5 + 3.0"
+
+
+def _import_paths() -> None:
+    for path in (ROOT / "bench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
 
 
 def warm_units(name: str, limit: int | None = None) -> list[Callable[[], object]]:
     """The first ``limit`` units (all if ``None``) of one pass of workload
     ``name``, each run once."""
-    for path in (ROOT / "bench", ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
+    _import_paths()
     from workloads import WORKLOADS as BUILDERS
 
     units = BUILDERS[name](ROOT, SEED).units[:limit]
     for unit in units:
         unit()
     return units
+
+
+def first_parse_units() -> list[Callable[[], object]]:
+    """One unit, run once: empty the shape cache, then parse
+    ``FIRST_PARSE``, so that every call is a first parse of its shape."""
+    _import_paths()
+    from ratiosect import expressions
+
+    def unit() -> object:
+        expressions._SHAPES.clear()
+        return expressions.parse_expression(FIRST_PARSE)
+
+    unit()
+    return [unit]
 
 
 def count(units: Iterable[Callable[[], object]]) -> dict:
@@ -125,6 +151,7 @@ def main() -> int:
         "random_expr_slice": {"seed": SEED, "targets": WORKLOADS["random-expr"]},
         "workloads": {name: count(warm_units(name, limit))
                       for name, limit in WORKLOADS.items()},
+        "first_parse": {"text": FIRST_PARSE, **count(first_parse_units())},
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -21,7 +21,6 @@ from .benchsuite import (
     benchmark_function,
     benchmark_suite,
     load_reference_minimizer,
-    reference_minimizer,
     run_benchmark,
     sweep_ratio_a_exponent,
     sweep_ratio_c,
@@ -102,7 +101,6 @@ __all__ = [
     "minimize_ratio_p",
     "parabola_vertex",
     "parse_expression",
-    "reference_minimizer",
     "run_benchmark",
     "stop_test",
     "sweep_ratio_a_exponent",

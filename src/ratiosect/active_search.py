@@ -17,7 +17,6 @@ out, and yields each probe as a plain abscissa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .classify import Recognizer
@@ -29,7 +28,9 @@ from .core import (
     Point2,
     Tolerance,
     _DETACH,
+    _Record,
     _drive,
+    _setattr,
 )
 from .section_search import RatioConfig, _ratio_section
 
@@ -42,23 +43,21 @@ class CollinearPointsError(ValueError):
     vertex."""
 
 
-@dataclass(frozen=True)
-class BracketTriple:
+class BracketTriple(_Record):
     """Three points bracketing a minimum: ``left.x < mid.x < right.x``
     with the middle ordinate strictly lowest."""
 
-    left: Point2
-    mid: Point2
-    right: Point2
+    __slots__ = ("left", "mid", "right")
 
-    def __post_init__(self) -> None:
-        if not self.left.x < self.mid.x < self.right.x:
+    def __init__(self, left: Point2, mid: Point2, right: Point2) -> None:
+        if not left.x < mid.x < right.x:
             raise ValueError(
-                f"abscissas not ordered: {self.left.x!r}, {self.mid.x!r}, "
-                f"{self.right.x!r}"
-            )
-        if not (self.mid.y < self.left.y and self.mid.y < self.right.y):
+                f"abscissas not ordered: {left.x!r}, {mid.x!r}, {right.x!r}")
+        if not (mid.y < left.y and mid.y < right.y):
             raise ValueError("middle ordinate is not strictly the lowest")
+        _setattr(self, "left", left)
+        _setattr(self, "mid", mid)
+        _setattr(self, "right", right)
 
     @property
     def width(self) -> float:

@@ -4,10 +4,17 @@ The suite pairs each problem id (1–20) with an evaluator, an uncertainty
 interval, a class label (one constant, two monotone, three flat-bottomed,
 fourteen strictly unimodal), published reference evaluation counts for
 seven solver configurations, and an independently computed reference
-minimizer.  Everything but the evaluators lives in the plain-text fixtures
-file ``data/reference_data.txt``; the evaluators are authored here to
-mirror the fixture expression strings operation for operation, so parsing
-the expression and calling the built-in evaluator agree bit for bit.
+minimizer, read back by :func:`load_reference_minimizer`.  Everything but
+the evaluators lives in the plain-text fixtures file
+``data/reference_data.txt``; the evaluators are authored here to mirror the
+fixture expression strings operation for operation, so parsing the
+expression and calling the built-in evaluator agree bit for bit.  The
+dense-grid oracle that froze the minimizers is not part of the package: it
+is ``scripts/freeze_reference_minimizers.py``, which rewrites them.
+
+The records (:class:`BenchFunction`, :class:`ReferenceMinimizer`,
+:class:`MethodSpec`, :class:`BenchReport`) are immutable slot classes;
+:class:`BenchRow` is a ``NamedTuple``.
 
 Experiments:
 
@@ -16,14 +23,11 @@ Experiments:
   with a degree-5 least-squares polynomial.
 * :func:`sweep_ratio_a_exponent` — active-search totals for
   ``c = 10**(j/2)``, ``j = -15 … -2``.
-* :func:`reference_minimizer` — the grid + golden-refinement oracle used
-  to freeze the fixture minimizers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -39,10 +43,11 @@ from .core import (
     MinimizeOutcome,
     Point2,
     Tolerance,
+    _Record,
+    _setattr,
 )
 from .polyfit import Polynomial, fit_polynomial
 from .section_search import (
-    GOLDEN_RATIO,
     RatioConfig,
     minimize_bisection,
     minimize_golden,
@@ -58,7 +63,6 @@ __all__ = [
     "benchmark_function",
     "benchmark_suite",
     "load_reference_minimizer",
-    "reference_minimizer",
     "run_benchmark",
     "sweep_ratio_a_exponent",
     "sweep_ratio_c",
@@ -95,30 +99,36 @@ METHOD_NAMES = ("bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m")
 _DEFAULT_C = {"ratio-p": 0.2, "ratio-a": 1e-3, "brent-m": 0.2}
 
 
-@dataclass(frozen=True)
-class BenchFunction:
+class BenchFunction(_Record):
     """One benchmark problem; :func:`benchmark_function` builds each once,
     with read-only ``reference_counts``."""
 
-    fid: int
-    expression: str
-    interval: Interval
-    class_label: FunctionClass
-    reference_counts: Mapping[str, int]
-    evaluator: Callable[[float], float]
+    __slots__ = ("fid", "expression", "interval", "class_label",
+                 "reference_counts", "evaluator")
+
+    def __init__(self, fid: int, expression: str, interval: Interval,
+                 class_label: FunctionClass, reference_counts: Mapping[str, int],
+                 evaluator: Callable[[float], float]) -> None:
+        _setattr(self, "fid", fid)
+        _setattr(self, "expression", expression)
+        _setattr(self, "interval", interval)
+        _setattr(self, "class_label", class_label)
+        _setattr(self, "reference_counts", reference_counts)
+        _setattr(self, "evaluator", evaluator)
 
 
-@dataclass(frozen=True)
-class ReferenceMinimizer:
+class ReferenceMinimizer(_Record):
     """Frozen oracle result: minimizer, minimum, optional plateau."""
 
-    x: float
-    f: float
-    plateau: Interval | None
+    __slots__ = ("x", "f", "plateau")
+
+    def __init__(self, x: float, f: float, plateau: Interval | None) -> None:
+        _setattr(self, "x", x)
+        _setattr(self, "f", f)
+        _setattr(self, "plateau", plateau)
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(_Record):
     """A solver selection: method name plus, where applicable, the ratio.
 
     ``c`` must be omitted for ``bisect``, ``golden`` and ``brent``; for the
@@ -126,14 +136,15 @@ class MethodSpec:
     0.001 (``ratio-a``).
     """
 
-    name: str
-    c: float | None = None
+    __slots__ = ("name", "c")
 
-    def __post_init__(self) -> None:
-        if self.name not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.name!r}")
-        if self.c is not None and self.name not in _DEFAULT_C:
-            raise ValueError(f"method {self.name!r} takes no ratio parameter")
+    def __init__(self, name: str, c: float | None = None) -> None:
+        if name not in METHOD_NAMES:
+            raise ValueError(f"unknown method {name!r}")
+        if c is not None and name not in _DEFAULT_C:
+            raise ValueError(f"method {name!r} takes no ratio parameter")
+        _setattr(self, "name", name)
+        _setattr(self, "c", c)
 
     @property
     def effective_c(self) -> float | None:
@@ -180,14 +191,17 @@ class BenchRow(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(_Record):
     """Rows in (method, id) order plus per-method totals and the pairwise
     total ratios."""
 
-    rows: tuple[BenchRow, ...]
-    totals: Mapping[str, int]
-    ratios: Mapping[tuple[str, str], float]
+    __slots__ = ("rows", "totals", "ratios")
+
+    def __init__(self, rows: tuple[BenchRow, ...], totals: Mapping[str, int],
+                 ratios: Mapping[tuple[str, str], float]) -> None:
+        _setattr(self, "rows", rows)
+        _setattr(self, "totals", totals)
+        _setattr(self, "ratios", ratios)
 
 
 @lru_cache(maxsize=1)
@@ -411,106 +425,3 @@ def sweep_ratio_a_exponent(
         if total is not None:
             rows.append((j, c, total))
     return rows
-
-
-def _golden_refine(
-    f: Callable[[float], float], a: float, b: float, width: float = 1e-12
-) -> float:
-    x1 = b - GOLDEN_RATIO * (b - a)
-    x2 = a + GOLDEN_RATIO * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > width:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN_RATIO * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN_RATIO * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def _edge_bisect(
-    f: Callable[[float], float],
-    inside: float,
-    outside: float,
-    level: float,
-    iterations: int = 80,
-) -> float:
-    """Boundary of the region where ``f(x) == level`` exactly, between a
-    point inside it and a point outside it."""
-    for _ in range(iterations):
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            break
-        if f(mid) == level:
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def reference_minimizer(
-    fid: int, grid_points: int = 1_000_000
-) -> tuple[float, float, Interval | None]:
-    """Independent oracle: dense grid scan plus golden refinement.
-
-    Scans ``grid_points + 1`` equispaced abscissas (endpoints exact),
-    tracking the bit-exact minimum ordinate.  Three or more grid points
-    sharing the minimum mean a plateau: its edges are located by bisection
-    and the plateau interval is returned alongside its midpoint.  A
-    singleton (or a symmetric tie pair) is refined by golden section down
-    to an interval of width 1e-12; a minimum on an interval endpoint is
-    returned as that exact endpoint.
-    """
-    bf = benchmark_function(fid)
-    f = bf.evaluator
-    lo, hi = bf.interval.lo, bf.interval.hi
-    n = grid_points
-    h = (hi - lo) / n
-
-    best_y = math.inf
-    first = last = -1
-    hits = 0
-    for i in range(n + 1):
-        if i == 0:
-            x = lo
-        elif i == n:
-            x = hi
-        else:
-            x = lo + i * h
-        y = f(x)
-        if y < best_y:
-            best_y = y
-            first = last = i
-            hits = 1
-        elif y == best_y:
-            last = i
-            hits += 1
-
-    def grid_x(i: int) -> float:
-        if i <= 0:
-            return lo
-        if i >= n:
-            return hi
-        return lo + i * h
-
-    if hits >= 3:
-        # A genuine plateau.  Its edges lie between the outermost hits and
-        # their non-hit neighbors.
-        left = grid_x(first)
-        if first > 0:
-            left = _edge_bisect(f, left, grid_x(first - 1), best_y)
-        right = grid_x(last)
-        if last < n:
-            right = _edge_bisect(f, right, grid_x(last + 1), best_y)
-        plateau = Interval(left, right)
-        return plateau.midpoint, best_y, plateau
-
-    if first == 0 and last == 0:
-        return lo, best_y, None
-    if first == n and last == n:
-        return hi, best_y, None
-    x_star = _golden_refine(f, grid_x(first - 1), grid_x(last + 1))
-    return x_star, f(x_star), None

@@ -16,7 +16,6 @@ predicate is :func:`stop_test`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Any, Callable, Generator, NamedTuple
@@ -24,6 +23,7 @@ from typing import Any, Callable, Generator, NamedTuple
 _isfinite = math.isfinite
 _tuple_new = tuple.__new__
 _partial_call = partial.__call__
+_setattr = object.__setattr__
 
 
 class FunctionClass(Enum):
@@ -80,18 +80,56 @@ class Point2(_XY):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """Base of the package's immutable records: the fields are the
+    ``__slots__``, each set once by the record's own ``__init__``.
+
+    Gives the dataclass ``repr``, equality and hashing over the fields
+    (records of different classes never compare equal), copying and
+    pickling through the constructor, and an :class:`AttributeError` on
+    setting or deleting any attribute.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interval(_Record):
     """A non-degenerate closed interval ``[lo, hi]``."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"non-finite interval [{self.lo!r}, {self.hi!r}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo!r}, {self.hi!r}]")
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (_isfinite(lo) and _isfinite(hi)):
+            raise ValueError(f"non-finite interval [{lo!r}, {hi!r}]")
+        if not lo < hi:
+            raise ValueError(f"empty interval [{lo!r}, {hi!r}]")
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -105,8 +143,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(_Record):
     """Stopping policy shared by all solvers.
 
     ``epsilon`` is the relative tolerance, ``floor`` the absolute additive
@@ -115,17 +152,22 @@ class Tolerance:
     configurations.
     """
 
-    epsilon: float = 1e-5
-    floor: float = 1e-10
-    max_evaluations: int = 1000
+    __slots__ = ("epsilon", "floor", "max_evaluations")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        if not self.floor > 0.0:
-            raise ValueError(f"floor must be positive, got {self.floor!r}")
-        if not isinstance(self.max_evaluations, int) or self.max_evaluations < 1:
+    def __init__(self, epsilon: float = 1e-5, floor: float = 1e-10,
+                 max_evaluations: int = 1000) -> None:
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+        # An infinite floor would meet every stop test at once.
+        if not 0.0 < floor < math.inf:
+            raise ValueError(f"floor must be positive and finite, got {floor!r}")
+        # bool is an int subclass: True would be a budget of 1.
+        if (max_evaluations.__class__ is bool or not isinstance(max_evaluations, int)
+                or max_evaluations < 1):
             raise ValueError("max_evaluations must be a positive integer")
+        _setattr(self, "epsilon", epsilon)
+        _setattr(self, "floor", floor)
+        _setattr(self, "max_evaluations", max_evaluations)
 
 
 def halfway(a: float, b: float) -> float:

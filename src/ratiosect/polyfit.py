@@ -18,24 +18,22 @@ callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Point2
+from .core import Point2, _Record, _setattr
 
 
 class SingularSystemError(ValueError):
     """The linear system (or the fit behind it) is rank-deficient."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Dense polynomial; ``coefficients[k]`` multiplies ``x**k``."""
 
-    coefficients: tuple[float, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 1:
+    def __init__(self, coefficients: tuple[float, ...]) -> None:
+        if len(coefficients) < 1:
             raise ValueError("a polynomial needs at least one coefficient")
+        _setattr(self, "coefficients", coefficients)
 
     @property
     def degree(self) -> int:
@@ -48,17 +46,18 @@ class Polynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Record):
     """A square system ``matrix @ solution = rhs``."""
 
-    matrix: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    __slots__ = ("matrix", "rhs")
 
-    def __post_init__(self) -> None:
-        n = len(self.rhs)
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+    def __init__(self, matrix: tuple[tuple[float, ...], ...],
+                 rhs: tuple[float, ...]) -> None:
+        n = len(rhs)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and agree with rhs length")
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "rhs", rhs)
 
 
 def gauss_solve(system: LinearSystem) -> list[float]:

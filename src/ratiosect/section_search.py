@@ -20,7 +20,6 @@ iteration to the optional ``bracket_log`` list, which the tests read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .classify import Recognizer
 from .core import (
@@ -29,7 +28,9 @@ from .core import (
     Interval,
     MinimizeOutcome,
     Tolerance,
+    _Record,
     _drive,
+    _setattr,
     halfway,
     stop_test,
 )
@@ -40,15 +41,15 @@ _STRICT = FunctionClass.STRICT_INTERIOR
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class RatioConfig:
+class RatioConfig(_Record):
     """Section ratio for the ratio-family solvers; must satisfy 0 < c < 1."""
 
-    c: float
+    __slots__ = ("c",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"section ratio must be in (0, 1), got {self.c!r}")
+    def __init__(self, c: float) -> None:
+        if not 0.0 < c < 1.0:
+            raise ValueError(f"section ratio must be in (0, 1), got {c!r}")
+        _setattr(self, "c", c)
 
 
 def _golden_pair(a: float, b: float) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from ratiosect.benchsuite import (
     benchmark_function,
     benchmark_suite,
     load_reference_minimizer,
-    reference_minimizer,
     run_benchmark,
     solve_one,
     sweep_ratio_a_exponent,
@@ -235,6 +234,7 @@ def test_frozen_plateaus():
 def test_oracle_reproduces_frozen_values_on_coarse_grid():
     # The independent grid oracle, run fresh at a coarser resolution,
     # lands on the frozen answers (which were produced at 1e6 points).
+    reference_minimizer = load_script("freeze_reference_minimizers").reference_minimizer
     for fid in (2, 9, 12):
         x, f, plateau = reference_minimizer(fid, grid_points=20_000)
         frozen = load_reference_minimizer(fid)

@@ -1,5 +1,7 @@
 import math
 import operator
+import subprocess
+import sys
 from functools import partial
 
 import pytest
@@ -21,6 +23,8 @@ from ratiosect.core import (
     stop_test,
 )
 from ratiosect.expressions import Expression, parse_expression
+
+from conftest import SRC_DIR
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 moderate = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -95,6 +99,26 @@ class TestTolerance:
         # solvers spend 3 evaluations.
         with pytest.raises(ValueError, match="must be a positive integer"):
             Tolerance(max_evaluations=budget)
+
+    def test_budget_must_not_be_a_bool(self):
+        # bool is an int subclass, so True passed as a budget of one.
+        with pytest.raises(ValueError, match="^max_evaluations must be a positive"):
+            Tolerance(max_evaluations=True)
+
+    def test_floor_must_be_finite(self):
+        # An infinite floor met every stop test at once: each solver stopped
+        # after one or two evaluations and reported converged.
+        with pytest.raises(ValueError, match="^floor must be positive"):
+            Tolerance(floor=math.inf)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost milliseconds on every cold start, the CLI's included.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ratiosect; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC_DIR)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @given(x=moderate)

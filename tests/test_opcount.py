@@ -1,6 +1,12 @@
-from conftest import load_script
+import json
+import shutil
+import subprocess
+import sys
+
+from conftest import SRC_DIR, load_script
 
 opcount = load_script("opcount")
+ROOT = SRC_DIR.parent
 
 
 def _assert_splits_add_up(counted):
@@ -35,3 +41,49 @@ def test_random_expr_slice_counts_are_reproducible_and_split_by_config():
     # Six solvers per target, and the parsed expressions' own opcodes.
     assert len(first["by_config"]) == 7
     assert first["by_module"]["<expression>"] > 0
+
+
+def test_first_parse_counts_are_reproducible_and_cover_the_parser():
+    units = opcount.first_parse_units()
+    first, second = opcount.count(units), opcount.count(units)
+    assert first == second
+    _assert_splits_add_up(first)
+    assert first["evaluations"] == 0
+    assert first["by_module"]["ratiosect.expressions"] > 0
+    # With the shape cached, the same text is only tokenized.
+    from ratiosect.expressions import parse_expression
+    cached = opcount.count([lambda: parse_expression(opcount.FIRST_PARSE)])
+    assert cached["opcodes"] < first["opcodes"]
+
+
+def _suite_count_in(tree):
+    code = ("import json, sys; sys.path.insert(0, 'scripts'); import opcount; "
+            "print(json.dumps(opcount.count(opcount.warm_units('suite'))))")
+    done = subprocess.run([sys.executable, "-I", "-c", code], cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_one_extra_statement_in_the_driver_loop_counts_more(tmp_path):
+    # A mutation check on two scratch copies of the tree: the same code,
+    # and the same code with one statement more in core._drive's loop.
+    counts = []
+    for mutate in (False, True):
+        tree = tmp_path / str(mutate)
+        for part in ("src", "bench", "tests/data"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "results"))
+        (tree / "scripts").mkdir()
+        shutil.copy(ROOT / "scripts" / "opcount.py", tree / "scripts")
+        if mutate:
+            core = tree / "src" / "ratiosect" / "core.py"
+            loop = "    while True:\n        try:\n            x = send(reply)\n"
+            text = core.read_text()
+            assert text.count(loop) == 1
+            core.write_text(text.replace(loop, "    while True:\n        x = None\n"
+                                         + loop.split("\n", 1)[1]))
+        counts.append(_suite_count_in(tree))
+    same, mutated = (count["by_module"] for count in counts)
+    assert counts[0]["evaluations"] == counts[1]["evaluations"] == 2656
+    assert mutated.pop("ratiosect.core") > same.pop("ratiosect.core")
+    assert mutated == same
