@@ -49,6 +49,17 @@ def test_start_on_interval_wider_than_max_float(solve):
         assert out.evaluations == TOL.max_evaluations
 
 
+@pytest.mark.parametrize("solve", [brent_minimize, brent_m_minimize])
+@pytest.mark.parametrize("half_width, first", [
+    (1e308, "-0x1.0cf004643ba70p+1021"),
+    (sys.float_info.max, "-0x1.e3779b97f4a82p+1021"),
+])
+def test_first_probe_on_overflowing_width_is_pinned_bit_for_bit(solve, half_width, first):
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    solve(obj, Interval(-half_width, half_width), Tolerance(max_evaluations=1))
+    assert [p.x.hex() for p in obj.transcript] == [first]
+
+
 @pytest.mark.parametrize("solve, c", [
     (brent_minimize, None),
     (brent_m_minimize, None),

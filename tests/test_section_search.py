@@ -304,6 +304,25 @@ def test_golden_loop_on_bracket_whose_width_overflows_after_a_cut():
     assert out.evaluations == obj.count == tol.max_evaluations
 
 
+@pytest.mark.parametrize("half_width, probes", [
+    # b - a overflows only for the first pair: the loop's probes take the
+    # finite-width path.
+    (1e308, ["-0x1.0cf004643ba70p+1021", "0x1.0cf004643ba70p+1021",
+             "-0x1.2cae6c593d6d2p+1022", "-0x1.fbe67f501c630p+1018",
+             "0x1.fbe67f501c648p+1018", "-0x1.1becc920691bfp+1020"]),
+    # The width left after the first cut overflows too: the third probe is
+    # the loop's half-width step.
+    (1.7e308, ["-0x1.c931a110cbcf0p+1021", "0x1.c931a110cbcf0p+1021",
+               "-0x1.ff2884fe1b9fep+1022", "-0x1.afb71f6a7e878p+1019",
+               "0x1.afb71f6a7e888p+1019", "-0x1.e2ac22b71915ep+1020"]),
+])
+def test_golden_probes_on_overflowing_widths_are_pinned_bit_for_bit(half_width, probes):
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    minimize_golden(obj, Interval(-half_width, half_width),
+                    Tolerance(max_evaluations=len(probes)))
+    assert [p.x.hex() for p in obj.transcript] == probes
+
+
 def test_ratio_p_half_probes_longer_segment_midpoint():
     # At c = 0.5 every probe must land exactly on the midpoint of the
     # longer sub-segment around the incumbent.  Replay the elimination
