@@ -317,16 +317,23 @@ def run_benchmark(
 
     A cell whose objective fails to evaluate is recorded with status
     ``failed`` (its partial count still enters the totals) instead of
-    aborting the whole run.
+    aborting the whole run.  The totals are kept per label, so a repeated
+    label or function id raises ``ValueError``.
     """
     if not methods or not ids:
         raise ValueError("need at least one method and one function id")
+    labels = [spec.label for spec in methods]
+    for what, items in (("method", labels), ("function id", ids)):
+        seen: set = set()
+        for item in items:
+            if item in seen:
+                raise ValueError(f"repeated {what} {item!r}")
+            seen.add(item)
     tol = tol or Tolerance()
     problems = [benchmark_function(fid) for fid in ids]
     rows: list[BenchRow] = []
-    for spec in methods:
+    for spec, label in zip(methods, labels):
         solve, args = _solver(spec)
-        label = spec.label
         for bf in problems:
             obj = CountingObjective(bf.evaluator)
             try:

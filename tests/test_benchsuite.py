@@ -320,6 +320,21 @@ def test_empty_selection_rejected():
         run_benchmark([MethodSpec("bisect")], [])
 
 
+@pytest.mark.parametrize("methods, ids, message", [
+    ([MethodSpec("golden")] * 2, [7, 12], "repeated method 'golden'"),
+    # Two specs with one effective ratio share a label.
+    ([MethodSpec("ratio-p"), MethodSpec("ratio-p", 0.2)], [7],
+     "repeated method 'ratio-p(c=0.2)'"),
+    ([MethodSpec("golden"), MethodSpec("bisect")], [7, 7, 12], "repeated function id 7"),
+    ([MethodSpec("golden")], [9, 8, 9], "repeated function id 9"),
+])
+def test_repeated_method_or_id_rejected(methods, ids, message):
+    # Totals are merged by label, so a repeat would count its cells twice.
+    with pytest.raises(ValueError) as excinfo:
+        run_benchmark(methods, ids)
+    assert str(excinfo.value) == message
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_sweep_c_samples_and_fit():

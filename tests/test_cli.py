@@ -248,6 +248,21 @@ def test_bench_c_without_ratio_method(capsys):
     assert "--c" in err
 
 
+@pytest.mark.parametrize("methods, functions, repeated", [
+    ("golden,golden", "7,12", "method 'golden'"),
+    ("golden,bisect", "7,7,12", "function id 7"),
+    ("golden", "7-9,8", "function id 8"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_bench_rejects_a_repeated_method_or_id(capsys, methods, functions, repeated, fmt):
+    # Each cell would count twice in its method's total.
+    code, out, err = run_cli(
+        capsys, "bench", "--methods", methods, "--functions", functions,
+        "--format", fmt, "--compare-paper",
+    )
+    assert (code, out, err) == (1, "", f"error: repeated {repeated}\n")
+
+
 def test_bench_out_file_and_determinism(capsys, tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
