@@ -30,7 +30,6 @@ from .core import (
     _DETACH,
     _Record,
     _drive,
-    _setattr,
 )
 from .section_search import RatioConfig, _ratio_section
 
@@ -55,9 +54,7 @@ class BracketTriple(_Record):
                 f"abscissas not ordered: {left.x!r}, {mid.x!r}, {right.x!r}")
         if not (mid.y < left.y and mid.y < right.y):
             raise ValueError("middle ordinate is not strictly the lowest")
-        _setattr(self, "left", left)
-        _setattr(self, "mid", mid)
-        _setattr(self, "right", right)
+        super().__init__(left, mid, right)
 
     @property
     def width(self) -> float:
@@ -88,12 +85,14 @@ def parabola_vertex(t: BracketTriple) -> float:
     return 0.5 * numerator / denominator
 
 
-def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
-    """Search the run's points (one per abscissa) for a bracketing triple.
+def _scan_for_triple(points: list[Point2]) -> tuple[Point2, Point2, Point2] | None:
+    """Search the run's points (one per abscissa) for a bracketing triple,
+    returned as its ``(left, mid, right)`` points.
 
     The candidate middle is the best point seen so far (earliest on ties);
     the flanks are the nearest strictly-greater points on each side, which
-    gives the tightest bracket the transcript supports.
+    gives the tightest bracket the transcript supports.  So the triple
+    holds :class:`BracketTriple`'s invariants by construction.
     """
     best = min(points, key=itemgetter(1))
     left: Point2 | None = None
@@ -107,7 +106,7 @@ def _scan_for_triple(points: list[Point2]) -> BracketTriple | None:
             right = p
     if left is None or right is None:
         return None
-    return BracketTriple(left, best, right)
+    return left, best, right
 
 
 def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2],
@@ -134,7 +133,7 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     yield _DETACH
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
-    (xl, yl), (xm, ym), (xr, yr) = triple.left, triple.mid, triple.right
+    (xl, yl), (xm, ym), (xr, yr) = triple
     if bracket_log is not None:
         bracket_log.append((xl, xr))
     while True:
@@ -210,9 +209,9 @@ def minimize_ratio_a(
     target as flat-bottomed; the run converges when the bracket width
     drops to ``2*e0``.
 
-    Phase 2 keeps the triple in six floats, validated once at the
-    hand-over.  Each step keeps ``xl < xm < xr`` with ``ym`` strictly
-    lowest: the probe lies inside ``(xl, xr)`` at least ``e0`` from
+    Phase 2 keeps the triple in six floats.  Phase 1's scan hands over
+    ``xl < xm < xr`` with ``ym`` strictly lowest, and each step keeps
+    both: the probe lies inside ``(xl, xr)`` at least ``e0`` from
     ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom.
     A clamped probe that rounds back onto ``xm`` (``e0`` under half an ulp
     of ``xm``) is not taken: the run ends at resolution.

@@ -6,7 +6,7 @@ fourteen strictly unimodal), published reference evaluation counts for
 seven solver configurations, and an independently computed reference
 minimizer, read back by :func:`load_reference_minimizer`.  Everything but
 the evaluators lives in the plain-text fixtures file
-``data/reference_data.txt``; the evaluators are authored here to mirror the
+``data/reference_data.txt``, read once into the records; the evaluators are authored here to mirror the
 fixture expression strings operation for operation, so parsing the
 expression and calling the built-in evaluator agree bit for bit.  The
 dense-grid oracle that froze the minimizers is not part of the package: it
@@ -44,7 +44,6 @@ from .core import (
     Point2,
     Tolerance,
     _Record,
-    _setattr,
 )
 from .polyfit import Polynomial, fit_polynomial
 from .section_search import (
@@ -109,12 +108,8 @@ class BenchFunction(_Record):
     def __init__(self, fid: int, expression: str, interval: Interval,
                  class_label: FunctionClass, reference_counts: Mapping[str, int],
                  evaluator: Callable[[float], float]) -> None:
-        _setattr(self, "fid", fid)
-        _setattr(self, "expression", expression)
-        _setattr(self, "interval", interval)
-        _setattr(self, "class_label", class_label)
-        _setattr(self, "reference_counts", reference_counts)
-        _setattr(self, "evaluator", evaluator)
+        super().__init__(fid, expression, interval, class_label, reference_counts,
+                         evaluator)
 
 
 class ReferenceMinimizer(_Record):
@@ -123,9 +118,7 @@ class ReferenceMinimizer(_Record):
     __slots__ = ("x", "f", "plateau")
 
     def __init__(self, x: float, f: float, plateau: Interval | None) -> None:
-        _setattr(self, "x", x)
-        _setattr(self, "f", f)
-        _setattr(self, "plateau", plateau)
+        super().__init__(x, f, plateau)
 
 
 class MethodSpec(_Record):
@@ -143,8 +136,7 @@ class MethodSpec(_Record):
             raise ValueError(f"unknown method {name!r}")
         if c is not None and name not in _DEFAULT_C:
             raise ValueError(f"method {name!r} takes no ratio parameter")
-        _setattr(self, "name", name)
-        _setattr(self, "c", c)
+        super().__init__(name, c)
 
     @property
     def effective_c(self) -> float | None:
@@ -199,20 +191,16 @@ class BenchReport(_Record):
 
     def __init__(self, rows: tuple[BenchRow, ...], totals: Mapping[str, int],
                  ratios: Mapping[tuple[str, str], float]) -> None:
-        _setattr(self, "rows", rows)
-        _setattr(self, "totals", totals)
-        _setattr(self, "ratios", ratios)
+        super().__init__(rows, totals, ratios)
 
 
 @lru_cache(maxsize=1)
-def _load_fixtures() -> tuple[
-    dict[int, tuple[float, float, str, str]],
-    dict[int, tuple[int, ...]],
-    dict[int, tuple[float, float, float | None, float | None]],
-]:
-    functions: dict[int, tuple[float, float, str, str]] = {}
-    counts: dict[int, tuple[int, ...]] = {}
-    minimizers: dict[int, tuple[float, float, float | None, float | None]] = {}
+def _fixtures() -> tuple[dict[int, BenchFunction], dict[int, ReferenceMinimizer]]:
+    """One pass over ``data/reference_data.txt``: every suite problem and
+    every frozen reference minimizer, built once as records, by id."""
+    functions: dict[int, tuple[str, Interval, FunctionClass]] = {}
+    counts: dict[int, Mapping[str, int]] = {}
+    minimizers: dict[int, ReferenceMinimizer] = {}
     text = resources.files("ratiosect").joinpath("data/reference_data.txt").read_text()
     for raw in text.splitlines():
         line = raw.strip()
@@ -221,43 +209,26 @@ def _load_fixtures() -> tuple[
         kind, rest = line.split(None, 1)
         if kind == "function":
             fid_s, lo_s, hi_s, label, expression = rest.split(None, 4)
-            functions[int(fid_s)] = (float(lo_s), float(hi_s), label, expression)
+            functions[int(fid_s)] = (expression, Interval(float(lo_s), float(hi_s)),
+                                     FunctionClass(label))
         elif kind == "counts":
-            fields = rest.split()
-            counts[int(fields[0])] = tuple(int(v) for v in fields[1:])
+            fid_s, *values = rest.split()
+            counts[int(fid_s)] = MappingProxyType(dict(zip(COUNT_KEYS, map(int, values))))
         elif kind == "minimizer":
             fid_s, x_s, f_s, plo_s, phi_s = rest.split()
-            minimizers[int(fid_s)] = (
-                float(x_s),
-                float(f_s),
-                None if plo_s == "-" else float(plo_s),
-                None if phi_s == "-" else float(phi_s),
-            )
+            plateau = None if plo_s == "-" else Interval(float(plo_s), float(phi_s))
+            minimizers[int(fid_s)] = ReferenceMinimizer(float(x_s), float(f_s), plateau)
         else:
             raise ValueError(f"unknown fixture record kind {kind!r}")
-    return functions, counts, minimizers
-
-
-@lru_cache(maxsize=1)
-def _problems() -> dict[int, BenchFunction]:
-    functions, counts, _ = _load_fixtures()
-    return {
-        fid: BenchFunction(
-            fid=fid,
-            expression=expression,
-            interval=Interval(lo, hi),
-            class_label=FunctionClass(label),
-            reference_counts=MappingProxyType(dict(zip(COUNT_KEYS, counts[fid]))),
-            evaluator=_EVALUATORS[fid],
-        )
-        for fid, (lo, hi, label, expression) in functions.items()
-    }
+    problems = {fid: BenchFunction(fid, *fields, counts[fid], _EVALUATORS[fid])
+                for fid, fields in functions.items()}
+    return problems, minimizers
 
 
 def benchmark_function(fid: int) -> BenchFunction:
     """Look up one of the 20 suite problems by id; every call for an id
     returns the same object."""
-    problem = _problems().get(fid)
+    problem = _fixtures()[0].get(fid)
     if problem is None:
         raise ValueError(f"benchmark id must be 1..20, got {fid!r}")
     return problem
@@ -268,13 +239,12 @@ def benchmark_suite() -> list[BenchFunction]:
 
 
 def load_reference_minimizer(fid: int) -> ReferenceMinimizer:
-    """Frozen oracle minimizer for a suite problem (from the fixtures)."""
-    _, _, minimizers = _load_fixtures()
-    if fid not in minimizers:
+    """Frozen oracle minimizer for a suite problem (from the fixtures);
+    every call for an id returns the same record."""
+    minimizer = _fixtures()[1].get(fid)
+    if minimizer is None:
         raise ValueError(f"no frozen reference minimizer for id {fid!r}")
-    x, f, plo, phi = minimizers[fid]
-    plateau = None if plo is None else Interval(plo, phi)
-    return ReferenceMinimizer(x=x, f=f, plateau=plateau)
+    return minimizer
 
 
 def _solver(spec: MethodSpec) -> tuple[Callable[..., MinimizeOutcome], tuple]:
@@ -324,11 +294,9 @@ def run_benchmark(
         raise ValueError("need at least one method and one function id")
     labels = [spec.label for spec in methods]
     for what, items in (("method", labels), ("function id", ids)):
-        seen: set = set()
-        for item in items:
-            if item in seen:
-                raise ValueError(f"repeated {what} {item!r}")
-            seen.add(item)
+        if len(set(items)) < len(items):
+            repeated = next(v for i, v in enumerate(items) if v in items[:i])
+            raise ValueError(f"repeated {what} {repeated!r}")
     tol = tol or Tolerance()
     problems = [benchmark_function(fid) for fid in ids]
     rows: list[BenchRow] = []

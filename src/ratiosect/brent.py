@@ -30,6 +30,7 @@ from .core import (
     MinimizeOutcome,
     Tolerance,
     _drive,
+    _section,
     halfway,
     stop_test,
 )
@@ -50,14 +51,8 @@ def _brent(interval: Interval, tol: Tolerance, c: float,
         bracket_log.append((a, b))
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
-    if math.isfinite(b - a):
-        x = a + GOLDEN_STEP * (b - a)
-    else:
-        # b - a overflows: take the step from the half-width, twice.
-        step = GOLDEN_STEP * (0.5 * b - 0.5 * a)
-        x = a + step + step
     # Every budget has room for the first probe.
-    x, fx = yield x
+    x, fx = yield _section(a, b, GOLDEN_STEP)
     w, fw = x, fx
     v, fv = x, fx
     d = 0.0

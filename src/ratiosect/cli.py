@@ -20,12 +20,13 @@ import io
 import json
 import math
 import sys
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .benchsuite import (
     METHOD_NAMES,
-    BenchReport,
     MethodSpec,
+    _DEFAULT_C,
     benchmark_function,
     run_benchmark,
     solve_one,
@@ -35,12 +36,9 @@ from .benchsuite import (
 from .core import CountingObjective, EvaluationError, Interval, Tolerance
 from .expressions import ExpressionError, parse_expression
 
-_C_METHODS = ("ratio-p", "ratio-a", "brent-m")
 _FORMATS = ("csv", "markdown", "json-lines")
-
-
-class _UsageError(Exception):
-    """Semantic command-line error (maps to exit code 1)."""
+_BENCH_KEYS = ["method", "function_id", "evaluations", "x_min", "f_min",
+               "classification", "status"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +56,7 @@ def _parse_function_ids(text: str) -> list[int]:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            raise _UsageError(f"empty id in --functions {text!r}")
+            raise ValueError(f"empty id in --functions {text!r}")
         lo_s, sep, hi_s = token.partition("-")
         try:
             if sep:
@@ -69,30 +67,30 @@ def _parse_function_ids(text: str) -> list[int]:
             else:
                 ids.append(int(token))
         except ValueError:
-            raise _UsageError(f"bad id selection {token!r}") from None
+            raise ValueError(f"bad id selection {token!r}") from None
     for fid in ids:
         if not 1 <= fid <= 20:
-            raise _UsageError(f"function id {fid} out of range 1..20")
+            raise ValueError(f"function id {fid} out of range 1..20")
     return ids
 
 
 def _parse_method_specs(names: str, c: float | None) -> list[MethodSpec]:
-    specs = [MethodSpec(name, c if name in _C_METHODS else None)
+    specs = [MethodSpec(name, c if name in _DEFAULT_C else None)
              for name in map(str.strip, names.split(","))]
-    if c is not None and not any(s.name in _C_METHODS for s in specs):
-        raise _UsageError("--c requires at least one of ratio-p, ratio-a, brent-m")
+    if c is not None and not any(s.name in _DEFAULT_C for s in specs):
+        raise ValueError(f"--c requires at least one of {', '.join(_DEFAULT_C)}")
     return specs
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     if args.eps <= 0.0 or args.eps >= 1.0:
-        raise _UsageError(f"--eps must be in (0, 1), got {args.eps!r}")
+        raise ValueError(f"--eps must be in (0, 1), got {args.eps!r}")
     return Tolerance(epsilon=args.eps)
 
 
 def _interval(args: argparse.Namespace) -> Interval:
     if not args.a < args.b:
-        raise _UsageError(f"need --a < --b, got {args.a!r} and {args.b!r}")
+        raise ValueError(f"need --a < --b, got {args.a!r} and {args.b!r}")
     return Interval(args.a, args.b)
 
 
@@ -155,8 +153,8 @@ def _render(fmt: str, columns: Sequence[_Column],
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    if args.c is not None and args.method not in _C_METHODS:
-        raise _UsageError(f"--c is not valid for method {args.method!r}")
+    if args.c is not None and args.method not in _DEFAULT_C:
+        raise ValueError(f"--c is not valid for method {args.method!r}")
     try:
         expression = parse_expression(args.expr)
     except ExpressionError as exc:
@@ -185,47 +183,32 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     return 0 if outcome.converged else 2
 
 
-def _bench_markdown(report: BenchReport, specs: list[MethodSpec], compare: bool) -> str:
+def _bench_markdown(records: list[dict], totals: dict[str, int], compare: bool) -> str:
     """Suite-style layout: functions as rows, methods as columns, with
     total and relative-percentage footer rows (first column = 100%)."""
-    labels = [s.label for s in specs]
-    refs = {s.label: s.reference_key for s in specs}
-    by_cell = {(r.method, r.fid): r for r in report.rows}
-    fids = sorted({r.fid for r in report.rows})
-
+    columns: dict[str, list[dict]] = {label: [] for label in totals}
+    for r in sorted(records, key=itemgetter("function_id")):
+        columns[r["method"]].append(r)
+    first = next(iter(totals.values()))
     header = ["f"]
-    for label in labels:
+    rows = [[str(r["function_id"])] for r in next(iter(columns.values()))]
+    sum_row, relat_row = ["Sum k"], ["Relat"]
+    for label, cells in columns.items():
+        total = totals[label]
         header.append(label)
-        if compare and refs[label] is not None:
-            header += [f"{label} ref", f"{label} d"]
-    rows: list[list[str]] = []
-    for fid in fids:
-        cells = [str(fid)]
-        for label in labels:
-            row = by_cell[(label, fid)]
-            cells.append(
-                f"{row.evaluations} (failed)" if row.status == "failed"
-                else str(row.evaluations)
-            )
-            if compare and refs[label] is not None:
-                ref = benchmark_function(fid).reference_counts[refs[label]]
-                cells += [str(ref), f"{row.evaluations - ref:+d}"]
-        rows.append(cells)
-
-    totals = [report.totals[label] for label in labels]
-    sum_row = ["Sum k"]
-    relat_row = ["Relat"]
-    for label, total in zip(labels, totals):
         sum_row.append(str(total))
-        relat_row.append(f"{100.0 * total / totals[0]:.1f}%" if totals[0] else "-")
-        if compare and refs[label] is not None:
-            ref_total = sum(
-                benchmark_function(fid).reference_counts[refs[label]] for fid in fids
-            )
+        relat_row.append(f"{100.0 * total / first:.1f}%" if first else "-")
+        for row, r in zip(rows, cells):
+            row.append(f"{r['evaluations']} (failed)" if r["status"] == "failed"
+                       else str(r["evaluations"]))
+        if compare and cells[0]["reference"] is not None:
+            header += [f"{label} ref", f"{label} d"]
+            for row, r in zip(rows, cells):
+                row += [str(r["reference"]), f"{r['delta']:+d}"]
+            ref_total = sum(r["reference"] for r in cells)
             sum_row += [str(ref_total), f"{total - ref_total:+d}"]
             relat_row += ["", ""]
-    rows += [sum_row, relat_row]
-    return _markdown_table(header, rows)
+    return _markdown_table(header, rows + [sum_row, relat_row])
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -236,26 +219,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if all(row.status == "failed" for row in report.rows):
         print("error: every benchmark cell failed", file=sys.stderr)
         return 2
-    if args.format == "markdown":
-        _emit(_bench_markdown(report, specs, args.compare_paper), args.out)
-        return 0
-
-    keys = ["method", "function_id", "evaluations", "x_min", "f_min",
-            "classification", "status"]
-    if args.compare_paper:
-        keys += ["reference", "delta"]
     refs = {s.label: s.reference_key for s in specs}
     records: list[dict[str, object]] = []
     for row in report.rows:
-        key = refs.get(row.method)
+        key = refs[row.method]
         ref = None if key is None else benchmark_function(row.fid).reference_counts[key]
-        records.append({
-            "method": row.method, "function_id": row.fid,
-            "evaluations": row.evaluations, "x_min": row.x_min,
-            "f_min": row.f_min, "classification": row.classification,
-            "status": row.status, "reference": ref,
-            "delta": None if ref is None else row.evaluations - ref,
-        })
+        records.append({**dict(zip(_BENCH_KEYS, row)), "reference": ref,
+                        "delta": None if ref is None else row.evaluations - ref})
+    if args.format == "markdown":
+        _emit(_bench_markdown(records, report.totals, args.compare_paper), args.out)
+        return 0
+    keys = _BENCH_KEYS + ["reference", "delta"] if args.compare_paper else _BENCH_KEYS
     _emit(_render(args.format, [(k, k, str) for k in keys], records), args.out)
     return 0
 
@@ -264,11 +238,11 @@ def _cmd_sweep_c(args: argparse.Namespace) -> int:
     ids = _parse_function_ids(args.functions)
     tol = _tolerance(args)
     if not 0.0 < args.c_from < args.c_to < 1.0:
-        raise _UsageError("need 0 < --from < --to < 1")
+        raise ValueError("need 0 < --from < --to < 1")
     if args.c_step <= 0.0:
-        raise _UsageError("--step must be positive")
+        raise ValueError("--step must be positive")
     if args.fit_degree < 0:
-        raise _UsageError("--fit-degree must be nonnegative")
+        raise ValueError("--fit-degree must be nonnegative")
     samples, poly = sweep_ratio_c(
         ids, args.c_from, args.c_to, args.c_step, tol, args.fit_degree
     )
@@ -285,7 +259,7 @@ def _cmd_sweep_j(args: argparse.Namespace) -> int:
     ids = _parse_function_ids(args.functions)
     tol = _tolerance(args)
     if not -15 <= args.j_from <= args.j_to <= -2:
-        raise _UsageError("need -15 <= --from <= --to <= -2")
+        raise ValueError("need -15 <= --from <= --to <= -2")
     rows = sweep_ratio_a_exponent(ids, args.j_from, args.j_to, tol)
     columns = [("j", "j", str), ("c", "c", "{:g}".format),
                ("total_evaluations", "Sum k", str)]
@@ -355,10 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # a usage check, here or in the library
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

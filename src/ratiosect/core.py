@@ -82,7 +82,8 @@ class Point2(_XY):
 
 class _Record:
     """Base of the package's immutable records: the fields are the
-    ``__slots__``, each set once by the record's own ``__init__``.
+    ``__slots__``, set once, in order, by ``_Record.__init__``, which each
+    record's own ``__init__`` calls after checking its arguments.
 
     Gives the dataclass ``repr``, equality and hashing over the fields
     (records of different classes never compare equal), copying and
@@ -91,6 +92,10 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -128,8 +133,7 @@ class Interval(_Record):
             raise ValueError(f"non-finite interval [{lo!r}, {hi!r}]")
         if not lo < hi:
             raise ValueError(f"empty interval [{lo!r}, {hi!r}]")
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def width(self) -> float:
@@ -165,9 +169,7 @@ class Tolerance(_Record):
         if (max_evaluations.__class__ is bool or not isinstance(max_evaluations, int)
                 or max_evaluations < 1):
             raise ValueError("max_evaluations must be a positive integer")
-        _setattr(self, "epsilon", epsilon)
-        _setattr(self, "floor", floor)
-        _setattr(self, "max_evaluations", max_evaluations)
+        super().__init__(epsilon, floor, max_evaluations)
 
 
 def halfway(a: float, b: float) -> float:
@@ -175,6 +177,16 @@ def halfway(a: float, b: float) -> float:
     overflows: then it is ``a/2 + b/2`` instead."""
     m = 0.5 * (a + b)
     return m if _isfinite(m) else 0.5 * a + 0.5 * b
+
+
+def _section(a: float, b: float, r: float) -> float:
+    """``a + r*(b - a)`` for finite ``a`` and ``b``, finite even when
+    ``b - a`` overflows: then the step is taken from the half-width, twice."""
+    w = b - a
+    if _isfinite(w):
+        return a + r * w
+    step = r * (0.5 * b - 0.5 * a)
+    return a + step + step
 
 
 def e0(tol: Tolerance, x: float) -> float:

@@ -18,7 +18,7 @@ callers.
 
 from __future__ import annotations
 
-from .core import Point2, _Record, _setattr
+from .core import Point2, _Record
 
 
 class SingularSystemError(ValueError):
@@ -33,7 +33,7 @@ class Polynomial(_Record):
     def __init__(self, coefficients: tuple[float, ...]) -> None:
         if len(coefficients) < 1:
             raise ValueError("a polynomial needs at least one coefficient")
-        _setattr(self, "coefficients", coefficients)
+        super().__init__(coefficients)
 
     @property
     def degree(self) -> int:
@@ -56,8 +56,7 @@ class LinearSystem(_Record):
         n = len(rhs)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and agree with rhs length")
-        _setattr(self, "matrix", matrix)
-        _setattr(self, "rhs", rhs)
+        super().__init__(matrix, rhs)
 
 
 def gauss_solve(system: LinearSystem) -> list[float]:

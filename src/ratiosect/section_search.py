@@ -30,7 +30,7 @@ from .core import (
     Tolerance,
     _Record,
     _drive,
-    _setattr,
+    _section,
     halfway,
     stop_test,
 )
@@ -49,16 +49,7 @@ class RatioConfig(_Record):
     def __init__(self, c: float) -> None:
         if not 0.0 < c < 1.0:
             raise ValueError(f"section ratio must be in (0, 1), got {c!r}")
-        _setattr(self, "c", c)
-
-
-def _golden_pair(a: float, b: float) -> tuple[float, float]:
-    """The golden interior pair of ``[a, b]``; when ``b - a`` overflows,
-    the step is computed from the half-width and taken twice."""
-    if math.isfinite(b - a):
-        return b - GOLDEN_RATIO * (b - a), a + GOLDEN_RATIO * (b - a)
-    step = GOLDEN_RATIO * (0.5 * b - 0.5 * a)
-    return b - step - step, a + step + step
+        super().__init__(c)
 
 
 def _bisection(interval: Interval, tol: Tolerance,
@@ -131,7 +122,7 @@ def _golden(interval: Interval, tol: Tolerance,
     a, b = interval.lo, interval.hi
     if bracket_log is not None:
         bracket_log.append((a, b))
-    pair = yield _golden_pair(a, b)
+    pair = yield _section(b, a, GOLDEN_RATIO), _section(a, b, GOLDEN_RATIO)
     if pair is None:
         # No room for the first pair: the one evaluation goes to the midpoint.
         x, y = yield halfway(a, b)
@@ -147,7 +138,7 @@ def _golden(interval: Interval, tol: Tolerance,
             b = x2
             x2, y2 = x1, y1
             w = b - a
-            x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[0]
+            x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _section(b, a, GOLDEN_RATIO)
             point = yield x1
             if point is None:
                 break
@@ -156,7 +147,7 @@ def _golden(interval: Interval, tol: Tolerance,
             a = x1
             x1, y1 = x2, y2
             w = b - a
-            x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _golden_pair(a, b)[1]
+            x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _section(a, b, GOLDEN_RATIO)
             point = yield x2
             if point is None:
                 break

@@ -54,6 +54,11 @@ def test_each_problem_is_built_once_with_read_only_counts():
     assert [bf.fid for bf in benchmark_suite()] == list(range(1, 21))
 
 
+def test_each_reference_minimizer_is_built_once():
+    for fid in range(1, 21):
+        assert load_reference_minimizer(fid) is load_reference_minimizer(fid)
+
+
 def test_bench_row_is_an_immutable_tuple_with_the_dataclass_repr():
     row = BenchRow("bisect", 1, 34, 0.5, 1.0, "strict_interior", "converged")
     for field in ("evaluations", "extra"):
