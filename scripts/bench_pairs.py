@@ -12,7 +12,8 @@ failures and per-configuration evaluation totals.  ``--trace-pairs`` adds
 that many traced pairs (``--trace 1``, ``TRACE_SECONDS`` long) with every
 per-layer metric.  Last, each checkout that has ``scripts/opcount.py`` runs
 it once; both JSON outputs go into the file beside the Python version, as
-opcode counts compare only under one interpreter.
+opcode counts compare only under one interpreter.  Each checkout that has
+``scripts/linecount.py`` runs it too, and both outputs go in beside them.
 
 Example, from the change checkout with the parent unpacked beside it::
 
@@ -98,12 +99,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return result
 
 
-def run_opcount(tree: Path) -> dict | None:
-    """``scripts/opcount.py``'s JSON output in ``tree``, or ``None`` if the
+def run_script(tree: Path, name: str) -> dict | None:
+    """``scripts/<name>.py``'s JSON output in ``tree``, or ``None`` if the
     checkout has no such script."""
-    if not (tree / "scripts" / "opcount.py").is_file():
+    if not (tree / "scripts" / f"{name}.py").is_file():
         return None
-    done = subprocess.run([sys.executable, "scripts/opcount.py"], cwd=tree,
+    done = subprocess.run([sys.executable, f"scripts/{name}.py"], cwd=tree,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -214,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
             out["workloads"][w]["per_layer_trace_pairs"] = trace_summary(
                 traced[w], TRACE_SECONDS, w)
     out["opcount"] = {"python": platform.python_version(),
-                      **{side: run_opcount(trees[side]) for side in SIDES}}
+                      **{side: run_script(trees[side], "opcount") for side in SIDES}}
+    out["linecount"] = {side: run_script(trees[side], "linecount") for side in SIDES}
     path = trees["change"] / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

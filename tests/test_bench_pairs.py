@@ -125,6 +125,8 @@ def _fake_run(cmd, cwd, **kwargs):
     assert kwargs["check"] and kwargs["capture_output"]
     if cmd[1] == "scripts/opcount.py":
         return SimpleNamespace(stdout=json.dumps({"python": "3.x", "tree": cwd.name}))
+    if cmd[1] == "scripts/linecount.py":
+        return SimpleNamespace(stdout=json.dumps({"total": {"code": 1}, "tree": cwd.name}))
     args = dict(zip(cmd[2::2], cmd[3::2]))
     record = (cwd / "bench" / "results" /
               f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json")
@@ -161,3 +163,28 @@ def test_main_records_both_opcounts_beside_the_pairs(tmp_path, monkeypatch,
     assert summary["seeds"] == [1, 2]
     assert summary["metrics"]["solves_per_s"]["change_wins"] == 2
     assert summary["config_totals_identical_in_every_pair"]
+
+
+@pytest.mark.parametrize("with_parent_linecount", [True, False])
+def test_main_records_both_line_counts_beside_the_opcounts(tmp_path, monkeypatch,
+                                                            with_parent_linecount):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, tree in trees.items():
+        (tree / "scripts").mkdir(parents=True)
+        (tree / "scripts" / "opcount.py").write_text("")
+        if side == "change" or with_parent_linecount:
+            (tree / "scripts" / "linecount.py").write_text("")
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}],
+    }))
+    monkeypatch.setattr(pairs_script.subprocess, "run", _fake_run)
+    assert pairs_script.main(["--parent", str(trees["parent"]), "--change",
+                              str(trees["change"]), "--number", "4", "--pairs", "1"]) == 0
+    out = json.loads((trees["change"] / "BENCH_4.json").read_text())
+    assert out["linecount"] == {
+        "parent": ({"total": {"code": 1}, "tree": "parent"}
+                   if with_parent_linecount else None),
+        "change": {"total": {"code": 1}, "tree": "change"},
+    }
+    assert out["opcount"]["parent"] == {"python": "3.x", "tree": "parent"}
