@@ -145,6 +145,7 @@ def test_main_records_both_opcounts_beside_the_pairs(tmp_path, monkeypatch,
         if side == "change" or with_parent_opcount:
             (tree / "scripts").mkdir(parents=True)
             (tree / "scripts" / "opcount.py").write_text("")
+            (tree / "scripts" / "linecount.py").write_text("")
         tree.mkdir(exist_ok=True)
     (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": "w"}],
@@ -159,32 +160,13 @@ def test_main_records_both_opcounts_beside_the_pairs(tmp_path, monkeypatch,
         "parent": {"python": "3.x", "tree": "parent"} if with_parent_opcount else None,
         "change": {"python": "3.x", "tree": "change"},
     }
+    assert out["linecount"] == {
+        "parent": ({"total": {"code": 1}, "tree": "parent"}
+                   if with_parent_opcount else None),
+        "change": {"total": {"code": 1}, "tree": "change"},
+    }
     summary = out["workloads"]["w"]
     assert summary["seeds"] == [1, 2]
     assert summary["metrics"]["solves_per_s"]["change_wins"] == 2
     assert summary["config_totals_identical_in_every_pair"]
 
-
-@pytest.mark.parametrize("with_parent_linecount", [True, False])
-def test_main_records_both_line_counts_beside_the_opcounts(tmp_path, monkeypatch,
-                                                            with_parent_linecount):
-    trees = {side: tmp_path / side for side in ("parent", "change")}
-    for side, tree in trees.items():
-        (tree / "scripts").mkdir(parents=True)
-        (tree / "scripts" / "opcount.py").write_text("")
-        if side == "change" or with_parent_linecount:
-            (tree / "scripts" / "linecount.py").write_text("")
-    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 1, "workloads": [{"name": "w"}],
-        "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}],
-    }))
-    monkeypatch.setattr(pairs_script.subprocess, "run", _fake_run)
-    assert pairs_script.main(["--parent", str(trees["parent"]), "--change",
-                              str(trees["change"]), "--number", "4", "--pairs", "1"]) == 0
-    out = json.loads((trees["change"] / "BENCH_4.json").read_text())
-    assert out["linecount"] == {
-        "parent": ({"total": {"code": 1}, "tree": "parent"}
-                   if with_parent_linecount else None),
-        "change": {"total": {"code": 1}, "tree": "change"},
-    }
-    assert out["opcount"]["parent"] == {"python": "3.x", "tree": "parent"}
