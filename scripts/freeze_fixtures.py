@@ -15,22 +15,29 @@ The tests compare live runs with these files bit for bit:
   in evaluation order, as the ``.hex()`` of ``x`` and ``y``.  The counts
   only catch a change in how many probes a run spends; these digests also
   catch a probe that moved by one ulp.
-* ``random_transcript_digests.csv`` — one SHA-256 per solver of
-  ``scripts/random_harness.py`` (each at its default ratio) over 300
+* ``random_transcript_digests.csv`` — one row per run of each solver of
+  ``scripts/random_harness.py`` (each at its default ratio) on each of 300
   targets ``a*|x - v|^p + k`` drawn by ``draw_target`` from
-  ``random.Random(0)`` with ``Tolerance(max_evaluations=50_000)``.
-  Besides every probe it covers every ``bracket_log`` entry and the
-  outcome.  Those targets drive ratio-a far deeper into its parabolic
-  phase than the suite does.
+  ``random.Random(0)`` with ``Tolerance(max_evaluations=50_000)``: the
+  target's index in draw order, the evaluation count, classification and
+  status, then two digests.  The probe digest covers every probe and the
+  returned point, the bracket digest every ``bracket_log`` entry.  Those
+  targets drive ratio-a far deeper into its parabolic phase than the
+  suite does.  The two digests are the first 16 hex digits of a SHA-256:
+  64 bits are plenty to tell one run from another.
 * ``cli_digests.csv`` — the command line's output: one row per invocation
   in ``CLI_CASES`` (every subcommand in all three formats) with its argv,
   exit code and the SHA-256 of its stdout.
 
-Run with ``PYTHONPATH=src python scripts/freeze_fixtures.py``.
+Run with ``PYTHONPATH=src python scripts/freeze_fixtures.py``.  With
+``--diff`` it writes nothing: it prints each row of every fixture whose
+live value differs from the frozen one, column by column, and exits 1 if
+any row moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -135,9 +142,10 @@ def compute() -> list[tuple[str, str, str]]:
     return rows
 
 
-def compute_random(as_text: bool = False) -> list[tuple[str, str]]:
-    """``(solver, sha256)`` rows, one per solver of the random harness, in
-    its order; each digest covers all targets in draw order.
+def compute_random(as_text: bool = False) -> list[tuple[str, ...]]:
+    """``(solver, target, evaluations, classification, status, probe
+    digest, bracket digest)`` rows, one per run: the solvers of the random
+    harness in its order, each over all targets in draw order.
 
     With ``as_text``, each target is rendered in the expression language
     as the random-expr benchmark renders it, and the solvers minimize what
@@ -151,20 +159,21 @@ def compute_random(as_text: bool = False) -> list[tuple[str, str]]:
     targets = [harness.draw_target(rng, tol) for _ in range(RANDOM_COUNT)]
     rows = []
     for name, run in harness.SOLVERS:
-        h = hashlib.sha256()
-        for f, _, interval, _ in targets:
+        for i, (f, _, interval, _) in enumerate(targets):
             if as_text:
                 a, p, k, v = f.__defaults__
                 f = parse_expression(f"{a!r}*abs(x - {v!r})^{p!r} + {k!r}")
             obj = CountingObjective(f)
             log: list[tuple[float, float]] = []
             out = run(obj, interval, tol, log)
-            hash_probes(h, obj)
-            for lo, hi in log:
-                h.update(f"[{lo.hex()} {hi.hex()}]\n".encode())
-            h.update(f"{out.x_min.hex()} {out.f_min.hex()} {out.evaluations} "
-                     f"{out.classification.value} {out.status.value}\n".encode())
-        rows.append((name, h.hexdigest()))
+            probes = hashlib.sha256()
+            hash_probes(probes, obj)
+            probes.update(f"{out.x_min.hex()} {out.f_min.hex()}\n".encode())
+            brackets = hashlib.sha256(
+                "".join(f"[{lo.hex()} {hi.hex()}]\n" for lo, hi in log).encode())
+            rows.append((name, str(i), str(out.evaluations), out.classification.value,
+                         out.status.value, probes.hexdigest()[:16],
+                         brackets.hexdigest()[:16]))
     return rows
 
 
@@ -181,6 +190,22 @@ def compute_cli() -> list[tuple[str, str, str]]:
     return rows
 
 
+#: Each fixture: its header, how many leading columns name a row, and the
+#: function that computes its rows from live runs.
+FIXTURES = {
+    "measured_counts.csv": (
+        ["config", "function_id", "evaluations", "classification", "status"],
+        2, compute_counts),
+    "sweep_c_counts.csv": (["c", "mean_evaluations"], 1, compute_sweep),
+    "transcript_digests.csv": (["config", "function_id", "sha256"], 2, compute),
+    "random_transcript_digests.csv": (
+        ["solver", "target", "evaluations", "classification", "status",
+         "probes_sha256", "brackets_sha256"],
+        2, compute_random),
+    "cli_digests.csv": (["argv", "exit_code", "sha256"], 1, compute_cli),
+}
+
+
 def write(name: str, header: list[str], rows: list[tuple]) -> None:
     path = DATA_DIR / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -191,16 +216,43 @@ def write(name: str, header: list[str], rows: list[tuple]) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def main() -> int:
-    write("measured_counts.csv",
-          ["config", "function_id", "evaluations", "classification", "status"],
-          compute_counts())
-    write("sweep_c_counts.csv", ["c", "mean_evaluations"], compute_sweep())
-    write("transcript_digests.csv", ["config", "function_id", "sha256"], compute())
-    write("random_transcript_digests.csv", ["solver", "sha256"], compute_random())
-    write("cli_digests.csv", ["argv", "exit_code", "sha256"], compute_cli())
+def diff(name: str, header: list[str], keys: int, rows: list[tuple]) -> int:
+    """Print each row of fixture ``name`` that ``rows`` moves, with the old
+    and new value of each column that changed; return how many moved."""
+    with (DATA_DIR / name).open(newline="") as handle:
+        frozen = {tuple(row[:keys]): tuple(row[keys:])
+                  for row in list(csv.reader(handle))[1:]}
+    rows = [tuple(map(str, row)) for row in rows]
+    live = {row[:keys]: row[keys:] for row in rows}
+    moved = 0
+    for key in [*frozen, *(key for key in live if key not in frozen)]:
+        old, new = frozen.get(key), live.get(key)
+        if old == new:
+            continue
+        moved += 1
+        if old is None or new is None:
+            change = f"only {'live' if old is None else 'frozen'}: {','.join(old or new)}"
+        else:
+            change = ", ".join(f"{column} {a} -> {b}" for column, a, b
+                               in zip(header[keys:], old, new) if a != b)
+        print(f"{name} {','.join(key)}: {change}")
+    print(f"{name}: {moved} of {len(frozen)} rows moved")
+    return moved
+
+
+def main(argv: list[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print the moved rows of every fixture; write nothing")
+    args = parser.parse_args(argv)
+    if args.diff:
+        moved = sum(diff(name, header, keys, compute_rows())
+                    for name, (header, keys, compute_rows) in FIXTURES.items())
+        return 1 if moved else 0
+    for name, (header, _, compute_rows) in FIXTURES.items():
+        write(name, header, compute_rows())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -388,14 +388,17 @@ def test_transcript_digests_regression():
 
 
 def test_random_transcript_digests_regression():
-    # One digest per solver over 300 random-harness targets: every probe,
-    # bracket_log entry and outcome (scripts/freeze_fixtures.py writes
-    # the file).  The suite gives ratio-a 215 evaluations in all; these
-    # targets give it 13,125, about 11,700 of them in its parabolic phase.
+    # One row per run of each solver on 300 random-harness targets: count,
+    # verdict, and digests of every probe and every bracket_log entry
+    # (scripts/freeze_fixtures.py writes the file).  The suite gives
+    # ratio-a 215 evaluations in all; these targets give it 13,125, about
+    # 11,700 of them in its parabolic phase.
     script = load_script("freeze_fixtures")
     frozen = _frozen_random_digests()
-    assert [name for name, _ in frozen] == [
-        "bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m"]
+    assert [(name, int(target)) for name, target, *_ in frozen] == [
+        (name, target)
+        for name in ("bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m")
+        for target in range(300)]
     assert script.compute_random() == frozen
 
 
@@ -418,6 +421,38 @@ def test_freeze_script_rewrites_every_fixture_unchanged(tmp_path):
     assert len(names) == 5
     for name in names:
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
+
+
+def test_freeze_script_diff_names_each_moved_row(tmp_path, capsys):
+    # --diff writes nothing and prints each moved row with the old and new
+    # value of every column that changed: here one edited count and one
+    # edited digest of the random fixture, and one row the live runs lack.
+    script = load_script("freeze_fixtures")
+    for path in DATA_DIR.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    script.DATA_DIR = tmp_path
+    assert script.main(["--diff"]) == 0
+    assert "rows moved" in capsys.readouterr().out
+    path = tmp_path / "random_transcript_digests.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[1].split(",")
+    lines[1] = ",".join([*row[:2], "999", *row[3:6], "0" * 16 + "\n"])
+    lines.append("brent,300,1,strict_interior,converged,0,0\n")
+    path.write_text("".join(lines))
+    edited = path.read_bytes()
+    assert script.main(["--diff"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert path.read_bytes() == edited
+    assert [line for line in out if line.startswith("random_transcript")] == [
+        f"random_transcript_digests.csv bisect,0: evaluations 999 -> {row[2]}, "
+        f"brackets_sha256 {'0' * 16} -> {row[6].strip()}",
+        "random_transcript_digests.csv brent,300: "
+        "only frozen: 1,strict_interior,converged,0,0",
+        "random_transcript_digests.csv: 2 of 1801 rows moved",
+    ]
+    for name in script.FIXTURES:
+        if name != path.name:
+            assert f"{name}: 0 of " in "\n".join(out)
 
 
 def test_sweep_j_rows():
