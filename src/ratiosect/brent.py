@@ -97,7 +97,7 @@ def _brent(interval: Interval, tol: Tolerance, c: float,
             # bounds its own): 2*half can overflow, x + 2*half cannot.
             u = x + d if d - d == 0.0 else x + half + half
         else:
-            u = x + (tol1 if d > 0.0 else -tol1)
+            u = x + (tol1 if d >= 0.0 else -tol1)
         point = yield u
         if point is None:
             break

@@ -237,3 +237,27 @@ def test_brent_transcript_matches_scipy_fminbound(fid, xatol):
     optimize.minimize_scalar(recorded, bounds=(bf.interval.lo, bf.interval.hi),
                              method="bounded", options={"xatol": xatol})
     assert [p.x.hex() for p in obj.transcript] == [x.hex() for x in probes]
+
+
+def test_brent_zero_step_goes_right_as_scipy_does():
+    # On (x - 0.5)^2 over [0, 1] the fourth probe's parabola has its vertex
+    # on x, so the parabolic step d is exactly zero.  scipy's bounded
+    # minimizer then steps tol1 to the right (si = sign(rat) + (rat == 0)),
+    # and so does Brent here: the fifth probe is 0.50000334, not 0.49999666.
+    optimize = pytest.importorskip("scipy.optimize")
+    f = lambda x: (x - 0.5) ** 2
+    xatol = 1e-5
+    obj = CountingObjective(f)
+    brent_minimize(obj, Interval(0.0, 1.0),
+                   Tolerance(epsilon=math.sqrt(2.2e-16), floor=xatol / 3))
+    probes = []
+
+    def recorded(x):
+        probes.append(float(x))
+        return f(float(x))
+
+    optimize.minimize_scalar(recorded, bounds=(0.0, 1.0), method="bounded",
+                             options={"xatol": xatol})
+    assert [p.x.hex() for p in obj.transcript] == [x.hex() for x in probes]
+    assert obj.transcript[3].x == 0.5
+    assert round(obj.transcript[4].x, 8) == 0.50000334
