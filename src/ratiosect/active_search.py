@@ -5,7 +5,9 @@ interval by a fixed factor whatever the ordinates look like.  The active
 variant exploits them: once three evaluated points bracket a minimum,
 each step jumps to the vertex of the interpolating parabola and falls
 back to a ratio-section probe, a small ratio ``c`` (default ``1e-3``) off
-the best point, whenever the vertex is unusable.
+the best point, whenever the vertex is unusable.  A contraction guard
+makes the bracket halve at least once per ``_GUARD_PERIOD + 3`` probes,
+so a steep wall beside a flat bottom cannot hold the bracket open.
 
 It is one step generator, run by the private driver of
 :mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
@@ -30,11 +32,16 @@ from .core import (
     _DETACH,
     _Record,
     _drive,
+    halfway,
 )
 from .section_search import RatioConfig, _ratio_section
 
 _STRICT = FunctionClass.STRICT_INTERIOR
 _FLAT = FunctionClass.FLAT_BOTTOM
+
+#: Phase 2's contraction guard checks the bracket every ``_GUARD_PERIOD``
+#: probes (see :func:`minimize_ratio_a`).
+_GUARD_PERIOD = 10
 
 
 class CollinearPointsError(ValueError):
@@ -136,26 +143,39 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     (xl, yl), (xm, ym), (xr, yr) = triple
     if bracket_log is not None:
         bracket_log.append((xl, xr))
+    # Contraction guard: the bracket's half-width must fall to ``target``
+    # within ``left`` probes; half-widths cannot overflow.
+    target, left = 0.25 * xr - 0.25 * xl, _GUARD_PERIOD
     while True:
         tiny = epsilon * abs(xm) + floor
         if xr - xl <= 2.0 * tiny:
             break
-        # parabola_vertex's formula, term for term.  A vanishing
-        # denominator has no vertex: r = xl fails the test below.
-        denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
-        if denominator == 0.0:
+        forced = not left
+        if forced and (half := 0.5 * xr - 0.5 * xl) <= target:
+            # Halved since the last check: count afresh.
+            target, left, forced = 0.5 * half, _GUARD_PERIOD, False
+        if forced:
+            # Not halved: probe the middle of the larger side, until it has.
             r = xl
         else:
-            r = 0.5 * (
-                yl * (xm * xm - xr * xr)
-                + ym * (xr * xr - xl * xl)
-                + yr * (xl * xl - xm * xm)
-            ) / denominator
+            left -= 1
+            # parabola_vertex's formula, term for term.  A vanishing
+            # denominator has no vertex: r = xl fails the test below.
+            denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
+            if denominator == 0.0:
+                r = xl
+            else:
+                r = 0.5 * (
+                    yl * (xm * xm - xr * xr)
+                    + ym * (xr * xr - xl * xl)
+                    + yr * (xl * xl - xm * xm)
+                ) / denominator
         if not (xl < r < xr and abs(r - xm) >= tiny):
             # Ratio fallback toward the farther endpoint (ties go right),
-            # clamped so the probe keeps the minimum displacement from mid.
+            # or the guard's probe halfway to it, clamped so the probe
+            # keeps the minimum displacement from mid.
             s = xl if xm - xl > xr - xm else xr
-            r = c * s + (1.0 - c) * xm
+            r = halfway(xm, s) if forced else c * s + (1.0 - c) * xm
             if abs(r - xm) < tiny:
                 r = xm + tiny if s > xm else xm - tiny
             # The displacement guard can leave no admissible abscissa
@@ -215,6 +235,19 @@ def minimize_ratio_a(
     ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom.
     A clamped probe that rounds back onto ``xm`` (``e0`` under half an ulp
     of ``xm``) is not taken: the run ends at resolution.
+
+    A contraction guard bounds phase 2.  Every ``K = 10`` probes it checks
+    whether the bracket has halved since the last check (the hand-over,
+    first).  If not, the next probe is the midpoint of the larger side,
+    between ``mid`` and the farther end, clamped as above; such probes
+    repeat until the bracket has halved, then the count restarts.  A
+    forced probe either cuts off at least a quarter of the bracket or
+    leaves ``mid`` at its centre, so three of them halve it.  The bracket
+    thus halves within every ``K + 3`` probes counted from a check, and
+    phase 2 ends within about ``(K + 3)*ceil(log2(w / (2*floor)))``
+    probes, ``w`` the hand-over bracket's width.  Widths are compared as
+    half-widths and the midpoint is :func:`~ratiosect.core.halfway`, so
+    neither overflows.
     """
     c = 1e-3 if cfg is None else cfg.c
     recognizer = Recognizer(interval, tol)

@@ -1,10 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ratiosect.active_search import (
+    _GUARD_PERIOD,
     BracketTriple,
     CollinearPointsError,
     _ratio_a,
@@ -23,6 +26,7 @@ from ratiosect.core import (
     Point2,
     SolveStatus,
     Tolerance,
+    _DETACH,
     _drive,
     e0,
 )
@@ -303,6 +307,28 @@ def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
     return log
 
 
+def _noting_the_hand_over(steps, note):
+    """Pass ``steps`` through unchanged, calling ``note()`` when they
+    detach the recognizer (the hand-over to phase 2)."""
+    reply = None
+    while True:
+        try:
+            x = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        if x is _DETACH:
+            note()
+        reply = yield x
+
+
+def _guard_bound(log_entry, floor):
+    """The docstring's bound on phase 2's probes from the hand-over
+    bracket ``log_entry``: (K + 3) per halving down to ``2*floor``."""
+    lo, hi = log_entry
+    halvings = max(0, math.ceil(math.log2(0.5 * hi - 0.5 * lo) - math.log2(floor)))
+    return (_GUARD_PERIOD + 3) * halvings
+
+
 @_ANY_CONFIGURATION
 def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
     # Phase 2 no longer validates its triple on every step; this guards
@@ -310,12 +336,29 @@ def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
     # but EvaluationError, returns a point of the interval, and nests
     # every logged bracket inside the one before it.
     # ratio-a's brackets also never close to a point.
-    log = _check_any_configuration(
-        lambda obj, interval, tol, cfg, log: minimize_ratio_a(
-            obj, interval, tol, cfg, bracket_log=log),
-        **draw)
+    mark: list[int] = []
+
+    def solve(obj, interval, tol, cfg, log):
+        recognizer = Recognizer(interval, tol)
+        steps = _ratio_a(interval, tol, cfg.c, recognizer.distinct, log)
+        out = _drive(obj, tol, _noting_the_hand_over(steps, lambda: mark.append(len(log))),
+                     recognizer)
+        assert out == minimize_ratio_a(CountingObjective(obj.target), interval, tol, cfg)
+        return out
+
+    log = _check_any_configuration(solve, **draw)
     for lo, hi in log:
         assert lo < hi
+    # The contraction guard: between two passed checks at most
+    # _GUARD_PERIOD + 3 probes halve phase 2's bracket, so any
+    # 2*_GUARD_PERIOD + 5 of them do, until the stop test ends the run;
+    # and the run ends within the docstring's bound.  Widths are exact.
+    phase_2 = log[mark[0]:] if mark else []
+    widths = [Fraction(hi) - Fraction(lo) for lo, hi in phase_2]
+    for width, later in zip(widths, widths[2 * _GUARD_PERIOD + 5:]):
+        assert later <= width / 2
+    if phase_2:
+        assert len(phase_2) - 1 <= _guard_bound(phase_2[0], draw["floor"])
 
 
 _OTHER_SOLVERS = {
@@ -339,6 +382,43 @@ def test_any_solver_any_configuration_stays_in_the_interval(solver, **draw):
     # may close to a single point here: with a tolerance below one ulp,
     # golden section cuts until both ends meet at the minimizer.
     _check_any_configuration(_OTHER_SOLVERS[solver], **draw)
+
+
+def test_ratio_a_mirrored_plateau_ends_inside_it():
+    # Suite id 10, 12 + 1000*|x - 2|^8.4, mirrored to [-4, -1]: a steep
+    # wall beside a flat bottom.  Without the contraction guard phase 2
+    # crept along the wall by 0.1 % steps and stopped at x = -1.98776 after
+    # 727 evaluations, outside the stored plateau (half-width 0.0071).
+    bf = benchmark_function(10)
+    out = minimize_ratio_a(CountingObjective(lambda x: bf.evaluator(-x)),
+                           Interval(-bf.interval.hi, -bf.interval.lo), TOL)
+    assert out.evaluations < 50
+    assert abs(out.x_min + 2.0) <= 0.0071
+
+
+def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
+    # The same target on 300 random intervals [U(0, 1.9), U(2.1, 5)] and
+    # their mirror images (600 runs).  Without the guard the worst run
+    # spent the whole budget of 1000 evaluations and 71 runs spent 100 or
+    # more; now every run's phase 2 keeps the docstring's bound, and the
+    # worst run spends 52 evaluations in all.
+    bf = benchmark_function(10)
+    rng = random.Random(3)
+    worst = 0
+    for _ in range(300):
+        lo, hi = rng.uniform(0.0, 1.9), rng.uniform(2.1, 5.0)
+        for f, interval in ((bf.evaluator, Interval(lo, hi)),
+                            (lambda x: bf.evaluator(-x), Interval(-hi, -lo))):
+            obj, log, mark = CountingObjective(f), [], []
+            recognizer = Recognizer(interval, TOL)
+            steps = _ratio_a(interval, TOL, 1e-3, recognizer.distinct, log)
+            out = _drive(obj, TOL, _noting_the_hand_over(
+                steps, lambda: mark.append((len(log), obj.count))), recognizer)
+            assert out.converged
+            (entry, evaluations), = mark
+            assert out.evaluations - evaluations <= _guard_bound(log[entry], TOL.floor)
+            worst = max(worst, out.evaluations)
+    assert worst == 52
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

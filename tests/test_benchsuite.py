@@ -391,8 +391,8 @@ def test_random_transcript_digests_regression():
     # One row per run of each solver on 300 random-harness targets: count,
     # verdict, and digests of every probe and every bracket_log entry
     # (scripts/freeze_fixtures.py writes the file).  The suite gives
-    # ratio-a 215 evaluations in all; these targets give it 13,125, about
-    # 11,700 of them in its parabolic phase.
+    # ratio-a 215 evaluations in all; these targets give it 8,377, 6,918
+    # of them in its parabolic phase.
     script = load_script("freeze_fixtures")
     frozen = _frozen_random_digests()
     assert [(name, int(target)) for name, target, *_ in frozen] == [
