@@ -2,12 +2,16 @@
 """Randomized property harness over synthetic strictly unimodal targets.
 
 Each trial draws f(x) = a*|x - v|^p + k (a > 0, p in [1, 6]) on a random
-interval containing v, runs every solver, and checks three properties:
+interval containing v, runs every solver, and checks four properties:
 
 * bracketing: every logged uncertainty interval contains v, up to the
   staircase slack described below;
 * accuracy: the final minimizer is within the slack of v;
-* convergence: no solver exhausts its evaluation budget.
+* convergence: no solver exhausts its evaluation budget;
+* contraction: ratio-a's logged brackets halve over every window of
+  ``2*K + 5`` entries (``K`` its phase-2 guard period) until the run
+  ends.  Phase 2's guard halves the bracket within ``K + 3`` probes of
+  each check; phase 1's midpoint sections halve it faster.
 
 In double precision the analytic minimum is surrounded by a staircase:
 near v the term a*|x - v|^p underflows relative to ulp(k), so a whole
@@ -19,8 +23,8 @@ sides — and allows ``slack = 2 * (radius + 10 * e0(v))``.  Draws whose
 staircase is wider than 10*e0(v) are resampled, since such targets are
 not strictly unimodal in machine arithmetic to begin with.
 
-Deterministic for a fixed --seed.  Exits 1 if any trial violates a
-property.
+Deterministic for a fixed --seed.  Prints each solver's mean and maximum
+evaluation count.  Exits 1 if any trial violates a property.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from fractions import Fraction
 
 from ratiosect import (
     CountingObjective,
@@ -42,6 +47,10 @@ from ratiosect import (
     minimize_ratio_a,
     minimize_ratio_p,
 )
+from ratiosect.active_search import _GUARD_PERIOD
+
+#: ratio-a's brackets halve over every window of this many log entries.
+HALVING_WINDOW = 2 * _GUARD_PERIOD + 5
 
 SOLVERS = [
     ("bisect", lambda o, iv, t, log: minimize_bisection(o, iv, t, bracket_log=log)),
@@ -69,6 +78,13 @@ def staircase_radius(f, v: float, step: float, width: float) -> float:
             return d
         d *= 2.0
     return width
+
+
+def contracts(log: list[tuple[float, float]]) -> bool:
+    """Whether each logged bracket is at most half as wide as the one
+    ``HALVING_WINDOW`` entries before it (widths exact)."""
+    widths = [Fraction(hi) - Fraction(lo) for lo, hi in log]
+    return all(2 * later <= width for width, later in zip(widths, widths[HALVING_WINDOW:]))
 
 
 def draw_target(rng: random.Random, tol: Tolerance):
@@ -107,6 +123,7 @@ def main() -> int:
 
     failures = 0
     evals = {name: 0 for name, _ in SOLVERS}
+    worst = dict.fromkeys(evals, 0)
     for trial in range(args.count):
         f, v, interval, radius = draw_target(rng, tol)
         slack = 2.0 * (radius + 10.0 * e0(tol, v))
@@ -116,22 +133,25 @@ def main() -> int:
             log: list[tuple[float, float]] = []
             out = run(obj, interval, tol, log)
             evals[name] += out.evaluations
+            worst[name] = max(worst[name], out.evaluations)
             bad_bracket = any(
                 not (blo - slack <= v <= bhi + slack) for blo, bhi in log
             )
             off = abs(out.x_min - v) > slack
-            if bad_bracket or off or not out.converged:
+            slow = name == "ratio-a" and not contracts(log)
+            if bad_bracket or off or slow or not out.converged:
                 failures += 1
                 print(f"trial {trial} {name}: v={v!r} "
                       f"[{interval.lo!r}, {interval.hi!r}] "
                       f"x_min={out.x_min!r} slack={slack!r} "
                       f"bracket_violation={bad_bracket} off_target={off} "
-                      f"status={out.status.value}")
+                      f"slow_contraction={slow} status={out.status.value}")
 
     print(f"{args.count} targets x {len(SOLVERS)} solvers, "
           f"{failures} violations")
     for name, _ in SOLVERS:
-        print(f"  {name:8s} mean evaluations {evals[name] / args.count:.1f}")
+        print(f"  {name:8s} mean evaluations {evals[name] / args.count:.1f}, "
+              f"max {worst[name]}")
     return 1 if failures else 0
 
 

@@ -595,7 +595,8 @@ def test_c12_randomized_bracketing_harness():
     report(
         "C12",
         checks,
-        f"{summary}; per-iteration bracket containment and the "
-        f"quantization-widened accuracy bound checked inside the harness; "
+        f"{summary}; per-iteration bracket containment, ratio-a's bracket "
+        f"halving and the quantization-widened accuracy bound checked inside "
+        f"the harness; "
         f"{elapsed:.1f} s",
     )
