@@ -155,7 +155,7 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             # Halved since the last check: count afresh.
             target, left, forced = 0.5 * half, _GUARD_PERIOD, False
         if forced:
-            # Not halved: probe the middle of the larger side, until it has.
+            # Not halved: the middle of the larger side, picked below.
             r = xl
         else:
             left -= 1
@@ -242,12 +242,12 @@ def minimize_ratio_a(
     between ``mid`` and the farther end, clamped as above; such probes
     repeat until the bracket has halved, then the count restarts.  A
     forced probe either cuts off at least a quarter of the bracket or
-    leaves ``mid`` at its centre, so three of them halve it.  The bracket
-    thus halves within every ``K + 3`` probes counted from a check, and
-    phase 2 ends within about ``(K + 3)*ceil(log2(w / (2*floor)))``
-    probes, ``w`` the hand-over bracket's width.  Widths are compared as
-    half-widths and the midpoint is :func:`~ratiosect.core.halfway`, so
-    neither overflows.
+    makes itself ``mid`` at the new bracket's centre; in exact arithmetic
+    three of them always halve the bracket.  So it halves within ``K + 3``
+    probes of each check, and phase 2 ends within about
+    ``(K + 3)*ceil(log2(w / (2*floor)))`` probes, ``w`` the hand-over
+    bracket's width.  Widths are compared as half-widths and the midpoint
+    is :func:`~ratiosect.core.halfway`, so neither overflows.
     """
     c = 1e-3 if cfg is None else cfg.c
     recognizer = Recognizer(interval, tol)
