@@ -11,7 +11,8 @@ interval containing v, runs every solver, and checks four properties:
 * contraction: ratio-a's logged brackets halve over every window of
   ``2*K + 5`` entries (``K`` its phase-2 guard period) until the run
   ends.  Phase 2's guard halves the bracket within ``K + 3`` probes of
-  each check; phase 1's midpoint sections halve it faster.
+  each check while it is wider than ``8*e0``, and the stop test soon
+  follows; phase 1's midpoint sections halve it faster.
 
 In double precision the analytic minimum is surrounded by a staircase:
 near v the term a*|x - v|^p underflows relative to ulp(k), so a whole

@@ -6,8 +6,9 @@ variant exploits them: once three evaluated points bracket a minimum,
 each step jumps to the vertex of the interpolating parabola and falls
 back to a ratio-section probe, a small ratio ``c`` (default ``1e-3``) off
 the best point, whenever the vertex is unusable.  A contraction guard
-makes the bracket halve at least once per ``_GUARD_PERIOD + 3`` probes,
-so a steep wall beside a flat bottom cannot hold the bracket open.
+makes the bracket halve within ``_GUARD_PERIOD + 3`` probes of each of
+its checks (until it is a few ``e0`` wide), so a steep wall beside a
+flat bottom cannot hold it open.
 
 It is one step generator, run by the private driver of
 :mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
@@ -243,8 +244,9 @@ def minimize_ratio_a(
     repeat until the bracket has halved, then the count restarts.  A
     forced probe either cuts off at least a quarter of the bracket or
     makes itself ``mid`` at the new bracket's centre; in exact arithmetic
-    three of them always halve the bracket.  So it halves within ``K + 3``
-    probes of each check, and phase 2 ends within about
+    three of them always halve a bracket at least ``8*e0`` wide, where
+    none needs the clamp.  So the bracket halves within ``K + 3`` probes
+    of each check, and phase 2 ends within about
     ``(K + 3)*ceil(log2(w / (2*floor)))`` probes, ``w`` the hand-over
     bracket's width.  Widths are compared as half-widths and the midpoint
     is :func:`~ratiosect.core.halfway`, so neither overflows.

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -349,14 +348,21 @@ def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
     log = _check_any_configuration(solve, **draw)
     for lo, hi in log:
         assert lo < hi
-    # The contraction guard: between two passed checks at most
-    # _GUARD_PERIOD + 3 probes halve phase 2's bracket, so any
-    # 2*_GUARD_PERIOD + 5 of them do, until the stop test ends the run;
-    # and the run ends within the docstring's bound.  Widths are exact.
+    # The contraction guard, read off phase 2's log (entry i follows the
+    # i-th probe): from each check, the hand-over first, the next check is
+    # the first entry at least K on whose half-width has halved, and it
+    # comes within K + 3 entries unless the run ends first.  That holds
+    # while the check's bracket is at least 8*e0 wide, so that no forced
+    # probe needs the e0 clamp.  The run ends within the docstring's bound.
     phase_2 = log[mark[0]:] if mark else []
-    widths = [Fraction(hi) - Fraction(lo) for lo, hi in phase_2]
-    for width, later in zip(widths, widths[2 * _GUARD_PERIOD + 5:]):
-        assert later <= width / 2
+    halves = [0.5 * hi - 0.5 * lo for lo, hi in phase_2]
+    tiny = draw["epsilon"] * max(abs(draw["ends"][0]), abs(draw["ends"][1])) + draw["floor"]
+    check = 0
+    while check + _GUARD_PERIOD + 3 < len(halves) and halves[check] >= 4.0 * tiny:
+        due = [i for i in range(check + _GUARD_PERIOD, check + _GUARD_PERIOD + 4)
+               if halves[i] <= 0.5 * halves[check]]
+        assert due, (check, halves[check:check + _GUARD_PERIOD + 4])
+        check = due[0]
     if phase_2:
         assert len(phase_2) - 1 <= _guard_bound(phase_2[0], draw["floor"])
 

@@ -216,39 +216,14 @@ def test_brent_m_cheaper_than_brent_on_suite():
     assert totals["modern"] < totals["classical"]
 
 
-@pytest.mark.parametrize("xatol", [1e-5, 1e-8])
-@pytest.mark.parametrize("fid", range(1, 21))
-def test_brent_transcript_matches_scipy_fminbound(fid, xatol):
-    # External oracle: scipy's bounded minimizer is the Brent (1973) /
-    # Forsythe-Malcolm-Moler fmin.  Its tolerance is sqrt(eps)*|x| + xatol/3,
-    # which is e0 with these settings, so both must probe the same abscissas
-    # bit for bit and in the same order.
+def _assert_brent_probes_as_scipy(f, interval, xatol):
+    """External oracle: scipy's bounded minimizer is the Brent (1973) /
+    Forsythe-Malcolm-Moler fmin.  Its tolerance is sqrt(eps)*|x| + xatol/3,
+    which is e0 with these settings, so both must probe the same abscissas
+    bit for bit and in the same order.  Returns Brent's transcript."""
     optimize = pytest.importorskip("scipy.optimize")
-    bf = benchmark_function(fid)
-    obj = CountingObjective(bf.evaluator)
-    brent_minimize(obj, bf.interval,
-                   Tolerance(epsilon=math.sqrt(2.2e-16), floor=xatol / 3))
-    probes = []
-
-    def recorded(x):
-        probes.append(float(x))
-        return bf.evaluator(float(x))
-
-    optimize.minimize_scalar(recorded, bounds=(bf.interval.lo, bf.interval.hi),
-                             method="bounded", options={"xatol": xatol})
-    assert [p.x.hex() for p in obj.transcript] == [x.hex() for x in probes]
-
-
-def test_brent_zero_step_goes_right_as_scipy_does():
-    # On (x - 0.5)^2 over [0, 1] the fourth probe's parabola has its vertex
-    # on x, so the parabolic step d is exactly zero.  scipy's bounded
-    # minimizer then steps tol1 to the right (si = sign(rat) + (rat == 0)),
-    # and so does Brent here: the fifth probe is 0.50000334, not 0.49999666.
-    optimize = pytest.importorskip("scipy.optimize")
-    f = lambda x: (x - 0.5) ** 2
-    xatol = 1e-5
     obj = CountingObjective(f)
-    brent_minimize(obj, Interval(0.0, 1.0),
+    brent_minimize(obj, interval,
                    Tolerance(epsilon=math.sqrt(2.2e-16), floor=xatol / 3))
     probes = []
 
@@ -256,8 +231,25 @@ def test_brent_zero_step_goes_right_as_scipy_does():
         probes.append(float(x))
         return f(float(x))
 
-    optimize.minimize_scalar(recorded, bounds=(0.0, 1.0), method="bounded",
-                             options={"xatol": xatol})
+    optimize.minimize_scalar(recorded, bounds=(interval.lo, interval.hi),
+                             method="bounded", options={"xatol": xatol})
     assert [p.x.hex() for p in obj.transcript] == [x.hex() for x in probes]
-    assert obj.transcript[3].x == 0.5
-    assert round(obj.transcript[4].x, 8) == 0.50000334
+    return obj.transcript
+
+
+@pytest.mark.parametrize("xatol", [1e-5, 1e-8])
+@pytest.mark.parametrize("fid", range(1, 21))
+def test_brent_transcript_matches_scipy_fminbound(fid, xatol):
+    bf = benchmark_function(fid)
+    _assert_brent_probes_as_scipy(bf.evaluator, bf.interval, xatol)
+
+
+def test_brent_zero_step_goes_right_as_scipy_does():
+    # On (x - 0.5)^2 over [0, 1] the fourth probe's parabola has its vertex
+    # on x, so the parabolic step d is exactly zero.  scipy's bounded
+    # minimizer then steps tol1 to the right (si = sign(rat) + (rat == 0)),
+    # and so does Brent here: the fifth probe is 0.50000334, not 0.49999666.
+    transcript = _assert_brent_probes_as_scipy(
+        lambda x: (x - 0.5) ** 2, Interval(0.0, 1.0), 1e-5)
+    assert transcript[3].x == 0.5
+    assert round(transcript[4].x, 8) == 0.50000334
