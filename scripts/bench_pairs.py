@@ -8,7 +8,8 @@ with the side that runs first alternating from pair to pair.  Writes
 metric the medians, inclusive quartiles, the parent's IQR width, how many
 pairs the change won, whether the change meets the gain rule and stays
 within the metric's bound, and every run's value, plus each run's correctness,
-failures and per-configuration evaluation totals.  ``--trace-pairs`` adds
+failures and per-configuration evaluation totals (the parent's, and the
+change's as well where a pair's two sides differ).  ``--trace-pairs`` adds
 that many traced pairs (``--trace 1``, ``TRACE_SECONDS`` long) with every
 per-layer metric.  Last, each checkout that has ``scripts/opcount.py`` runs
 it once; both JSON outputs go into the file beside the Python version, as
@@ -149,6 +150,9 @@ def workload_summary(pairs: list[dict], seconds: float,
         out["config_evaluation_totals_one_pass"] = totals[pairs[0]["seed"]]
     else:
         out["config_evaluation_totals_one_pass_per_seed"] = totals
+    if not out["config_totals_identical_in_every_pair"]:
+        out["change_config_evaluation_totals_one_pass_per_seed"] = {
+            p["seed"]: p["change"]["totals"] for p in pairs}
     return out
 
 

@@ -117,6 +117,21 @@ def test_workload_summary_folds_equal_totals(same_totals):
     else:
         assert out["config_evaluation_totals_one_pass_per_seed"] == {
             7: {"bisect": 7}, 8: {"bisect": 8}}
+    assert "change_config_evaluation_totals_one_pass_per_seed" not in out
+
+
+def test_workload_summary_records_the_change_totals_that_moved():
+    # A change that moves a count: the parent's totals fold as before, and
+    # the change's are recorded per seed beside them.
+    pairs = [{"seed": seed, "first": "parent",
+              "parent": _run(1.0, {"bisect": 10, "golden": 8}),
+              "change": _run(2.0, {"bisect": 10, "golden": seed})}
+             for seed in (7, 8)]
+    out = pairs_script.workload_summary(pairs, 3.0, BETTER)
+    assert not out["config_totals_identical_in_every_pair"]
+    assert out["config_evaluation_totals_one_pass"] == {"bisect": 10, "golden": 8}
+    assert out["change_config_evaluation_totals_one_pass_per_seed"] == {
+        7: {"bisect": 10, "golden": 7}, 8: {"bisect": 10, "golden": 8}}
 
 
 def _fake_run(cmd, cwd, **kwargs):
