@@ -306,18 +306,26 @@ def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
     return log
 
 
-def _noting_the_hand_over(steps, note):
-    """Pass ``steps`` through unchanged, calling ``note()`` when they
-    detach the recognizer (the hand-over to phase 2)."""
-    reply = None
-    while True:
-        try:
-            x = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        if x is _DETACH:
-            note()
-        reply = yield x
+def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
+    """``minimize_ratio_a``'s run, and at the hand-over to phase 2 (if
+    any) the length of ``log`` and the evaluation count, else ``None``."""
+    recognizer = Recognizer(interval, tol)
+    hand_over = []
+
+    def steps(inner):
+        reply = None
+        while True:
+            try:
+                x = inner.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if x is _DETACH:
+                hand_over.append((len(log), obj.count))
+            reply = yield x
+
+    out = _drive(obj, tol, steps(_ratio_a(interval, tol, c, recognizer.distinct, log)),
+                 recognizer)
+    return out, (hand_over[0] if hand_over else None)
 
 
 def _guard_bound(log_entry, floor):
@@ -335,14 +343,12 @@ def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
     # but EvaluationError, returns a point of the interval, and nests
     # every logged bracket inside the one before it.
     # ratio-a's brackets also never close to a point.
-    mark: list[int] = []
+    marks = []
 
     def solve(obj, interval, tol, cfg, log):
-        recognizer = Recognizer(interval, tol)
-        steps = _ratio_a(interval, tol, cfg.c, recognizer.distinct, log)
-        out = _drive(obj, tol, _noting_the_hand_over(steps, lambda: mark.append(len(log))),
-                     recognizer)
+        out, hand_over = _ratio_a_noting_the_hand_over(obj, interval, tol, cfg.c, log)
         assert out == minimize_ratio_a(CountingObjective(obj.target), interval, tol, cfg)
+        marks.append(hand_over)
         return out
 
     log = _check_any_configuration(solve, **draw)
@@ -354,7 +360,7 @@ def test_ratio_a_any_configuration_keeps_the_triple_invariant(**draw):
     # comes within K + 3 entries unless the run ends first.  That holds
     # while the check's bracket is at least 8*e0 wide, so that no forced
     # probe needs the e0 clamp.  The run ends within the docstring's bound.
-    phase_2 = log[mark[0]:] if mark else []
+    phase_2 = log[marks[0][0]:] if marks and marks[0] else []
     halves = [0.5 * hi - 0.5 * lo for lo, hi in phase_2]
     tiny = draw["epsilon"] * max(abs(draw["ends"][0]), abs(draw["ends"][1])) + draw["floor"]
     check = 0
@@ -415,13 +421,10 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
         lo, hi = rng.uniform(0.0, 1.9), rng.uniform(2.1, 5.0)
         for f, interval in ((bf.evaluator, Interval(lo, hi)),
                             (lambda x: bf.evaluator(-x), Interval(-hi, -lo))):
-            obj, log, mark = CountingObjective(f), [], []
-            recognizer = Recognizer(interval, TOL)
-            steps = _ratio_a(interval, TOL, 1e-3, recognizer.distinct, log)
-            out = _drive(obj, TOL, _noting_the_hand_over(
-                steps, lambda: mark.append((len(log), obj.count))), recognizer)
+            log = []
+            out, (entry, evaluations) = _ratio_a_noting_the_hand_over(
+                CountingObjective(f), interval, TOL, 1e-3, log)
             assert out.converged
-            (entry, evaluations), = mark
             assert out.evaluations - evaluations <= _guard_bound(log[entry], TOL.floor)
             worst = max(worst, out.evaluations)
     assert worst == 52
