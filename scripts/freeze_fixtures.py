@@ -16,9 +16,10 @@ The tests compare live runs with these files bit for bit:
   only catch a change in how many probes a run spends; these digests also
   catch a probe that moved by one ulp.
 * ``random_transcript_digests.csv`` — one row per run of each solver of
-  ``scripts/random_harness.py`` (each at its default ratio) on each of 300
-  targets ``a*|x - v|^p + k`` drawn by ``draw_target`` from
-  ``random.Random(0)`` with ``Tolerance(max_evaluations=50_000)``: the
+  ``scripts/random_harness.py`` (``benchsuite``'s six, each at its default
+  ratio) on each of the first 300 random-expr targets ``a*|x - v|^p + k``
+  of seed 0 (``bench/randexpr.py``, ``Tolerance(max_evaluations=50_000)``),
+  each minimized as ``parse_expression`` makes it from its text: the
   target's index in draw order, the evaluation count, classification and
   status, then two digests.  The probe digest covers every probe and the
   returned point, the bracket digest every ``bracket_log`` entry.  Those
@@ -44,7 +45,6 @@ import hashlib
 import importlib.util
 import io
 import pathlib
-import random
 import shlex
 import sys
 from collections.abc import Iterator
@@ -142,30 +142,24 @@ def compute() -> list[tuple[str, str, str]]:
     return rows
 
 
-def compute_random(as_text: bool = False) -> list[tuple[str, ...]]:
+def compute_random() -> list[tuple[str, ...]]:
     """``(solver, target, evaluations, classification, status, probe
-    digest, bracket digest)`` rows, one per run: the solvers of the random
-    harness in its order, each over all targets in draw order.
-
-    With ``as_text``, each target is rendered in the expression language
-    as the random-expr benchmark renders it, and the solvers minimize what
-    ``parse_expression`` makes of that text."""
+    digest, bracket digest)`` rows, one per run: the random harness's
+    solvers in its order, each over all targets in draw order, every target
+    minimized as ``parse_expression`` makes it from its text."""
     spec = importlib.util.spec_from_file_location(
         "random_harness", SCRIPTS_DIR / "random_harness.py")
     harness = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(harness)
-    rng = random.Random(0)
     tol = Tolerance(max_evaluations=50_000)
-    targets = [harness.draw_target(rng, tol) for _ in range(RANDOM_COUNT)]
+    targets = [(parse_expression(t.text), t.interval)
+               for t in harness.draw_targets(0, RANDOM_COUNT, tol)]
     rows = []
-    for name, run in harness.SOLVERS:
-        for i, (f, _, interval, _) in enumerate(targets):
-            if as_text:
-                a, p, k, v = f.__defaults__
-                f = parse_expression(f"{a!r}*abs(x - {v!r})^{p!r} + {k!r}")
+    for name, solve, extra in harness.SOLVERS:
+        for i, (f, interval) in enumerate(targets):
             obj = CountingObjective(f)
             log: list[tuple[float, float]] = []
-            out = run(obj, interval, tol, log)
+            out = solve(obj, interval, tol, *extra, bracket_log=log)
             probes = hashlib.sha256()
             hash_probes(probes, obj)
             probes.update(f"{out.x_min.hex()} {out.f_min.hex()}\n".encode())

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Count the lines of the package's modules.
+"""Count the lines of the package's modules, the scripts and the tests.
 
-For each module of ``src/ratiosect/`` it prints two counts:
+For each module of ``src/ratiosect/``, ``scripts/`` and ``tests/`` it
+prints two counts:
 
 * ``lines``, what ``wc -l`` counts (newline characters);
 * ``code``, the lines that hold a token of code.  A line that is blank,
@@ -9,7 +10,9 @@ For each module of ``src/ratiosect/`` it prints two counts:
   come from :mod:`tokenize`, and docstrings are found with :mod:`ast`:
   the string that opens a module, class or function body.
 
-It prints JSON with the counts per module and their totals::
+It prints JSON with the package's counts per module and their totals, and
+the same for ``scripts/`` and ``tests/`` under the keys ``scripts`` and
+``tests``::
 
     python3 scripts/linecount.py
 """
@@ -23,7 +26,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ratiosect"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ratiosect"
 
 #: Tokens that carry no code: layout, comments and the stream's ends.
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -46,11 +50,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def count(package: Path = PACKAGE) -> dict:
-    """Per module of ``package`` (by file name) its ``lines`` and ``code``,
-    and the ``total`` of each."""
+def count(directory: Path = PACKAGE) -> dict:
+    """Per module of ``directory`` (by file name) its ``lines`` and
+    ``code``, and the ``total`` of each."""
     modules = {}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         source = path.read_text()
         modules[path.name] = {"lines": source.count("\n"), "code": code_lines(source)}
     return {
@@ -60,7 +64,8 @@ def count(package: Path = PACKAGE) -> dict:
 
 
 def main() -> int:
-    print(json.dumps(count(), indent=2))
+    counts = {**count(), **{name: count(ROOT / name) for name in ("scripts", "tests")}}
+    print(json.dumps(counts, indent=2))
     return 0
 
 

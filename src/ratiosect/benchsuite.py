@@ -228,7 +228,9 @@ def _fixtures() -> tuple[dict[int, BenchFunction], dict[int, ReferenceMinimizer]
 def benchmark_function(fid: int) -> BenchFunction:
     """Look up one of the 20 suite problems by id; every call for an id
     returns the same object."""
-    problem = _fixtures()[0].get(fid)
+    # The tables are keyed by int: True or 2.0 would find ids 1 and 2.
+    is_id = fid.__class__ is not bool and isinstance(fid, int)
+    problem = _fixtures()[0].get(fid) if is_id else None
     if problem is None:
         raise ValueError(f"benchmark id must be 1..20, got {fid!r}")
     return problem
@@ -241,7 +243,8 @@ def benchmark_suite() -> list[BenchFunction]:
 def load_reference_minimizer(fid: int) -> ReferenceMinimizer:
     """Frozen oracle minimizer for a suite problem (from the fixtures);
     every call for an id returns the same record."""
-    minimizer = _fixtures()[1].get(fid)
+    is_id = fid.__class__ is not bool and isinstance(fid, int)
+    minimizer = _fixtures()[1].get(fid) if is_id else None
     if minimizer is None:
         raise ValueError(f"no frozen reference minimizer for id {fid!r}")
     return minimizer
@@ -364,6 +367,8 @@ def sweep_ratio_c(
     """
     if not 0.0 < c_from < c_to < 1.0:
         raise ValueError("need 0 < c_from < c_to < 1")
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
     tol = tol or Tolerance()
     problems = [benchmark_function(fid) for fid in ids]
     samples: list[tuple[float, float]] = []

@@ -308,7 +308,8 @@ def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
 
 def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
     """``minimize_ratio_a``'s run, and at the hand-over to phase 2 (if
-    any) the length of ``log`` and the evaluation count, else ``None``."""
+    any) the length of ``log``, the evaluation count and the triple's
+    ``(left, mid, right)`` points, else ``None``."""
     recognizer = Recognizer(interval, tol)
     hand_over = []
 
@@ -320,7 +321,8 @@ def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
             except StopIteration as stop:
                 return stop.value
             if x is _DETACH:
-                hand_over.append((len(log), obj.count))
+                hand_over.append((len(log), obj.count,
+                                  _scan_for_triple(recognizer.distinct)))
             reply = yield x
 
     out = _drive(obj, tol, steps(_ratio_a(interval, tol, c, recognizer.distinct, log)),
@@ -422,12 +424,34 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
         for f, interval in ((bf.evaluator, Interval(lo, hi)),
                             (lambda x: bf.evaluator(-x), Interval(-hi, -lo))):
             log = []
-            out, (entry, evaluations) = _ratio_a_noting_the_hand_over(
+            out, (entry, evaluations, _) = _ratio_a_noting_the_hand_over(
                 CountingObjective(f), interval, TOL, 1e-3, log)
             assert out.converged
             assert out.evaluations - evaluations <= _guard_bound(log[entry], TOL.floor)
             worst = max(worst, out.evaluations)
     assert worst == 52
+
+
+def test_ratio_a_phase_2_vertex_is_parabola_vertex_bit_for_bit():
+    # Phase 2 writes parabola_vertex's formula out term for term.  On
+    # random a*|x - v|^p + 1, whenever the vertex of the hand-over triple
+    # is admissible (strictly inside the bracket, at least e0 from mid),
+    # the first phase-2 probe is that vertex, to the last bit.
+    rng = random.Random(4)
+    compared = 0
+    for _ in range(3000):
+        a, p, v = 10.0 ** rng.uniform(-2, 2), rng.uniform(1.0, 6.0), rng.uniform(-10.0, 10.0)
+        interval = Interval(v - 10.0 ** rng.uniform(-2, 1), v + 10.0 ** rng.uniform(-2, 1))
+        obj = CountingObjective(lambda x: a * abs(x - v) ** p + 1.0)
+        _, hand_over = _ratio_a_noting_the_hand_over(obj, interval, TOL, 1e-3, [])
+        if hand_over is None:
+            continue
+        _, evaluations, (left, mid, right) = hand_over
+        r = parabola_vertex(BracketTriple(left, mid, right))
+        if left.x < r < right.x and abs(r - mid.x) >= e0(TOL, mid.x):
+            assert obj.transcript[evaluations].x.hex() == r.hex()
+            compared += 1
+    assert compared == 2829
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

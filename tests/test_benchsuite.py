@@ -132,9 +132,14 @@ def test_class_label_distribution():
 
 
 def test_bad_id_rejected():
-    for fid in (0, 21, -3):
+    # True and 2.0 hash as 1 and 2, so a bare table lookup would take them.
+    for fid in (0, 21, -3, True, False, 2.0, 12.0):
         with pytest.raises(ValueError):
             benchmark_function(fid)
+        with pytest.raises(ValueError):
+            load_reference_minimizer(fid)
+        with pytest.raises(ValueError):
+            run_benchmark([MethodSpec("golden")], [fid])
 
 
 @pytest.mark.parametrize("key,total,total_7_20", [
@@ -354,6 +359,11 @@ def test_sweep_c_validates_range():
         sweep_ratio_c([12], 0.5, 0.2)
     with pytest.raises(ValueError):
         sweep_ratio_c([12], 0.0, 0.5)
+    # Unchecked, 0.0 divides by zero, -0.01 leaves the fit no points and
+    # nan fails to convert to int.
+    for step in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="step must be positive"):
+            sweep_ratio_c([12], step=step)
 
 
 def test_sweep_c_counts_regression():
@@ -370,11 +380,6 @@ def test_sweep_c_counts_regression():
     ]
 
 
-def _frozen_random_digests() -> list[tuple[str, ...]]:
-    with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
-        return [tuple(row) for row in csv.reader(fh)][1:]
-
-
 def test_transcript_digests_regression():
     # Every probe of every suite cell and of the c sweep, frozen as SHA-256
     # digests of the probes' .hex() (scripts/freeze_fixtures.py writes
@@ -388,26 +393,20 @@ def test_transcript_digests_regression():
 
 
 def test_random_transcript_digests_regression():
-    # One row per run of each solver on 300 random-harness targets: count,
+    # One row per run of each solver on the random harness's 300 targets,
+    # the random-expr benchmark's, each parsed from its text: count,
     # verdict, and digests of every probe and every bracket_log entry
     # (scripts/freeze_fixtures.py writes the file).  The suite gives
     # ratio-a 215 evaluations in all; these targets give it 8,377, 6,918
     # of them in its parabolic phase.
     script = load_script("freeze_fixtures")
-    frozen = _frozen_random_digests()
+    with open(DATA_DIR / "random_transcript_digests.csv", newline="") as fh:
+        frozen = [tuple(row) for row in csv.reader(fh)][1:]
     assert [(name, int(target)) for name, target, *_ in frozen] == [
         (name, target)
         for name in ("bisect", "golden", "ratio-p", "ratio-a", "brent", "brent-m")
         for target in range(300)]
     assert script.compute_random() == frozen
-
-
-def test_random_transcript_digests_hold_for_parsed_text():
-    # The same 300 targets, each rendered as the random-expr benchmark
-    # renders it and parsed by parse_expression: every probe, bracket and
-    # outcome of every solver matches the digest frozen from the Python
-    # closures (the benchmark itself compares only three points a target).
-    assert load_script("freeze_fixtures").compute_random(as_text=True) == _frozen_random_digests()
 
 
 def test_freeze_script_rewrites_every_fixture_unchanged(tmp_path):

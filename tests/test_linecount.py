@@ -44,13 +44,19 @@ def test_counts_per_module_sum_to_the_totals(tmp_path):
 
 
 def test_package_counts_match_wc_and_sum_to_the_totals(capsys):
+    # The package's counts at the top level, then scripts/ and tests/ each
+    # under its own key, in the same layout.
     assert linecount.main() == 0
     out = json.loads(capsys.readouterr().out)
-    paths = sorted((SRC_DIR / "ratiosect").glob("*.py"))
-    assert list(out["modules"]) == [p.name for p in paths]
-    for p in paths:
-        module = out["modules"][p.name]
-        assert module["lines"] == p.read_bytes().count(b"\n")
-        assert 0 < module["code"] < module["lines"]
-    for key in ("lines", "code"):
-        assert out["total"][key] == sum(m[key] for m in out["modules"].values())
+    assert list(out) == ["modules", "total", "scripts", "tests"]
+    root = SRC_DIR.parent
+    for counts, directory in ((out, SRC_DIR / "ratiosect"), (out["scripts"], root / "scripts"),
+                              (out["tests"], root / "tests")):
+        paths = sorted(directory.glob("*.py"))
+        assert list(counts["modules"]) == [p.name for p in paths]
+        for p in paths:
+            module = counts["modules"][p.name]
+            assert module["lines"] == p.read_bytes().count(b"\n")
+            assert 0 < module["code"] < module["lines"]
+        for key in ("lines", "code"):
+            assert counts["total"][key] == sum(m[key] for m in counts["modules"].values())
