@@ -21,6 +21,11 @@ Example, from the change checkout with the parent unpacked beside it::
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --number 10 --pairs 10 --trace-pairs 4
 
+Seeds run from ``--first-seed`` (default 1) up, one block per workload in
+``BENCHMARK.json`` order, its traced pairs after its untraced ones, so a
+claim can be measured on seeds that were not looked at while the change was
+written.
+
 Both checkouts' ``bench/results/`` are overwritten as the runs go.
 """
 
@@ -180,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="n of the BENCH_<n>.json written in the change checkout")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace-pairs", type=int, default=0)
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.trace_pairs < 0:
         parser.error("--pairs must be positive and --trace-pairs not negative")
@@ -189,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     metric_specs = {m["name"]: m for m in benchmark["end_to_end"]}
 
-    seed = FIRST_SEED
+    seed = args.first_seed
     seeds, trace_seeds = {}, {}
     for w in workloads:
         seeds[w] = list(range(seed, seed + args.pairs))

@@ -32,8 +32,9 @@ The tests compare live runs with these files bit for bit:
 
 Run with ``PYTHONPATH=src python scripts/freeze_fixtures.py``.  With
 ``--diff`` it writes nothing: it prints each row of every fixture whose
-live value differs from the frozen one, column by column, and exits 1 if
-any row moved.
+live value differs from the frozen one, column by column, then for a
+fixture with counts how many of those rows fell, rose or kept their count
+and their evaluation total old -> new, and exits 1 if any row moved.
 """
 
 from __future__ import annotations
@@ -219,6 +220,9 @@ def diff(name: str, header: list[str], keys: int, rows: list[tuple]) -> int:
     rows = [tuple(map(str, row)) for row in rows]
     live = {row[:keys]: row[keys:] for row in rows}
     moved = 0
+    # (old, new) evaluation counts of the moved rows both sides have.
+    counts: list[tuple[int, int]] = []
+    at = header.index("evaluations") - keys if "evaluations" in header else None
     for key in [*frozen, *(key for key in live if key not in frozen)]:
         old, new = frozen.get(key), live.get(key)
         if old == new:
@@ -229,8 +233,16 @@ def diff(name: str, header: list[str], keys: int, rows: list[tuple]) -> int:
         else:
             change = ", ".join(f"{column} {a} -> {b}" for column, a, b
                                in zip(header[keys:], old, new) if a != b)
+            if at is not None:
+                counts.append((int(old[at]), int(new[at])))
         print(f"{name} {','.join(key)}: {change}")
     print(f"{name}: {moved} of {len(frozen)} rows moved")
+    if counts:
+        fell = sum(b < a for a, b in counts)
+        rose = sum(b > a for a, b in counts)
+        print(f"{name}: {fell} fell, {rose} rose, {len(counts) - fell - rose} kept "
+              f"their count; evaluations {sum(a for a, _ in counts)} -> "
+              f"{sum(b for _, b in counts)} in those rows")
     return moved
 
 

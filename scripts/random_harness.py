@@ -22,13 +22,16 @@ bit-identical ordinates that no evaluation-based method can separate;
 ``bench/randexpr.py`` measures it, redraws targets whose staircase is
 wider than 10*e0(v), and sets each target's slack from it.
 
-Deterministic for a fixed --seed.  Prints each solver's mean and maximum
-evaluation count.  Exits 1 if any trial violates a property.
+Deterministic for a fixed --seed.  Prints each solver's mean, 99th
+percentile (nearest rank) and maximum evaluation count.  Exits 1 if any
+trial violates a property, 2 on a bad argument such as a count that is not
+a positive integer.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,13 +59,20 @@ def contracts(log: list[tuple[float, float]]) -> bool:
     return all(2 * later <= width for width, later in zip(widths, widths[HALVING_WINDOW:]))
 
 
-def main() -> int:
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return count
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=500,
+    parser.add_argument("--count", type=positive_int, default=500,
                         help="number of random targets (default 500)")
     parser.add_argument("--eps", type=float, default=1e-5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     # The budget is generous: near-degenerate curvatures (p close to 6
     # with small a) force the active solver into tolerance-sized steps.
@@ -70,8 +80,7 @@ def main() -> int:
     targets = draw_targets(args.seed, args.count, tol)
 
     failures = 0
-    evals = dict.fromkeys(METHOD_NAMES, 0)
-    worst = dict.fromkeys(METHOD_NAMES, 0)
+    evals: dict[str, list[int]] = {name: [] for name in METHOD_NAMES}
     for trial, target in enumerate(targets):
         f = parse_expression(target.text)
         v, interval, slack = target.v, target.interval, target.slack
@@ -79,8 +88,7 @@ def main() -> int:
             obj = CountingObjective(f)
             log: list[tuple[float, float]] = []
             out = solve(obj, interval, tol, *extra, bracket_log=log)
-            evals[name] += out.evaluations
-            worst[name] = max(worst[name], out.evaluations)
+            evals[name].append(out.evaluations)
             bad_bracket = any(
                 not (blo - slack <= v <= bhi + slack) for blo, bhi in log
             )
@@ -97,8 +105,9 @@ def main() -> int:
     print(f"{args.count} targets x {len(SOLVERS)} solvers, "
           f"{failures} violations")
     for name in METHOD_NAMES:
-        print(f"  {name:8s} mean evaluations {evals[name] / args.count:.1f}, "
-              f"max {worst[name]}")
+        counts = sorted(evals[name])
+        print(f"  {name:8s} mean evaluations {sum(counts) / args.count:.1f}, "
+              f"p99 {counts[math.ceil(0.99 * args.count) - 1]}, max {counts[-1]}")
     return 1 if failures else 0
 
 

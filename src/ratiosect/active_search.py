@@ -5,7 +5,10 @@ interval by a fixed factor whatever the ordinates look like.  The active
 variant exploits them: once three evaluated points bracket a minimum,
 each step jumps to the vertex of the interpolating parabola and falls
 back to a ratio-section probe, a small ratio ``c`` (default ``1e-3``) off
-the best point, whenever the vertex is unusable.  A contraction guard
+the best point, whenever the vertex is unusable.  Brent's step test sends
+a vertex that is not under half as far from the best point as the probe
+before last to the middle of the larger side instead, so vertices that
+creep along one side cannot stall the far end.  A contraction guard
 makes the bracket halve within ``_GUARD_PERIOD + 3`` probes of each of
 its checks (until it is a few ``e0`` wide), so a steep wall beside a
 flat bottom cannot hold it open.
@@ -20,6 +23,7 @@ out, and yields each probe as a plain abscissa.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 from .classify import Recognizer
@@ -147,6 +151,9 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     # Contraction guard: the bracket's half-width must fall to ``target``
     # within ``left`` probes; half-widths cannot overflow.
     target, left = 0.25 * xr - 0.25 * xl, _GUARD_PERIOD
+    # Brent's step test: how far from mid the last probe and the one
+    # before it landed.
+    last = before = math.inf
     while True:
         tiny = epsilon * abs(xm) + floor
         if xr - xl <= 2.0 * tiny:
@@ -155,13 +162,10 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
         if forced and (half := 0.5 * xr - 0.5 * xl) <= target:
             # Halved since the last check: count afresh.
             target, left, forced = 0.5 * half, _GUARD_PERIOD, False
-        if forced:
-            # Not halved: the middle of the larger side, picked below.
-            r = xl
-        else:
+        if not forced:
             left -= 1
             # parabola_vertex's formula, term for term.  A vanishing
-            # denominator has no vertex: r = xl fails the test below.
+            # denominator has no vertex: r = xl fails a test below.
             denominator = yl * (xm - xr) + ym * (xr - xl) + yr * (xl - xm)
             if denominator == 0.0:
                 r = xl
@@ -171,7 +175,10 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
                     + ym * (xr * xr - xl * xl)
                     + yr * (xl * xl - xm * xm)
                 ) / denominator
-        if not (xl < r < xr and abs(r - xm) >= tiny):
+            # A vertex not under half as far from mid as the probe before
+            # last barely moves the bracket: the guard's probe instead.
+            forced = abs(r - xm) >= 0.5 * before
+        if forced or not (xl < r < xr and abs(r - xm) >= tiny):
             # Ratio fallback toward the farther endpoint (ties go right),
             # or the guard's probe halfway to it, clamped so the probe
             # keeps the minimum displacement from mid.
@@ -189,6 +196,7 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
         if not point:
             break
         y = point[1]
+        before, last = last, abs(r - xm)
 
         if y < ym:
             if r < xm:
@@ -230,6 +238,15 @@ def minimize_ratio_a(
     target as flat-bottomed; the run converges when the bracket width
     drops to ``2*e0``.
 
+    Brent's step test screens each vertex first: a vertex that is not
+    under half as far from ``mid`` as the probe before last was (the
+    first two always pass) is not taken.  The probe is then the guard's
+    (below), the midpoint of the larger side, not the ratio step, which
+    at ``c = 1e-3`` barely moves the bracket either.  So on ``|x - v|^p``
+    with ``p > 2``, whose vertices keep landing on one side of ``mid``,
+    more than ``e0`` from it yet barely moving it, the far end is cut
+    long before the guard's check is due.
+
     Phase 2 keeps the triple in six floats.  Phase 1's scan hands over
     ``xl < xm < xr`` with ``ym`` strictly lowest, and each step keeps
     both: the probe lies inside ``(xl, xr)`` at least ``e0`` from
@@ -237,9 +254,10 @@ def minimize_ratio_a(
     A clamped probe that rounds back onto ``xm`` (``e0`` under half an ulp
     of ``xm``) is not taken: the run ends at resolution.
 
-    A contraction guard bounds phase 2.  Every ``K = 10`` probes it checks
-    whether the bracket has halved since the last check (the hand-over,
-    first).  If not, the next probe is the midpoint of the larger side,
+    A contraction guard bounds phase 2.  Every ``K = 10`` probes (the
+    step test's included, its own forced ones not) it checks whether the
+    bracket has halved since the last check (the hand-over, first).  If
+    not, the next probe is the midpoint of the larger side,
     between ``mid`` and the farther end, clamped as above; such probes
     repeat until the bracket has halved, then the count restarts.  A
     forced probe either cuts off at least a quarter of the bracket or

@@ -47,20 +47,23 @@ from __future__ import annotations
 import math
 import re
 from collections import OrderedDict
-from functools import partial
+from functools import cache, partial
 from types import FunctionType
 from typing import Callable
 
-# One token per match, after any whitespace: a word (an operator or a name),
-# a number, or any other character (an error).
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-      ([-+*/^(),] | [A-Za-z_][A-Za-z0-9_]*)
-    | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-    | (\S)
-    )""",
-    re.VERBOSE,
-)
+@cache
+def _token_re() -> re.Pattern[str]:
+    """One token per match, after any whitespace: a word (an operator or a
+    name), a number, or any other character (an error).  Compiled on the
+    first parse, so ``import ratiosect`` compiles no regular expression."""
+    return re.compile(
+        r"""\s*(?:
+          ([-+*/^(),] | [A-Za-z_][A-Za-z0-9_]*)
+        | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+        | (\S)
+        )""",
+        re.VERBOSE,
+    )
 
 
 def _power(base: float, exponent: float) -> float:
@@ -149,7 +152,7 @@ class _Parser:
 
     def error(self, message: str, index: int) -> ExpressionError:
         # Offsets are only needed here, so only found here.
-        starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.text)]
+        starts = [m.start(m.lastindex) for m in _token_re().finditer(self.text)]
         return ExpressionError(message, starts[index] if index < len(starts) else len(self.text))
 
     def found(self, i: int) -> str:
@@ -266,7 +269,7 @@ def parse_expression(text: str) -> Expression:
     unknown identifiers, wrong call arity, or nesting too deep to parse
     (offset of the last token read) or to compile (offset 0).
     """
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _token_re().findall(text)
     tokens.append(("", "", ""))
     words, numbers, others = zip(*tokens)
     if any(others):  # its word is "", as a number's is: never look it up

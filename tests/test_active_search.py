@@ -28,6 +28,7 @@ from ratiosect.core import (
     _DETACH,
     _drive,
     e0,
+    halfway,
 )
 from ratiosect.expressions import parse_expression
 from ratiosect.section_search import (
@@ -415,7 +416,8 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
     # their mirror images (600 runs).  Without the guard the worst run
     # spent the whole budget of 1000 evaluations and 71 runs spent 100 or
     # more; now every run's phase 2 keeps the docstring's bound, and the
-    # worst run spends 52 evaluations in all.
+    # worst run spends 30 evaluations in all (52 with the guard alone,
+    # before phase 2 took Brent's step test).
     bf = benchmark_function(10)
     rng = random.Random(3)
     worst = 0
@@ -429,7 +431,49 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
             assert out.converged
             assert out.evaluations - evaluations <= _guard_bound(log[entry], TOL.floor)
             worst = max(worst, out.evaluations)
-    assert worst == 52
+    assert worst == 30
+
+
+def _phase_2_midpoints(obj, log, hand_over):
+    """Indices of phase 2's probes (0 the first) that are the middle of the
+    larger side, ``halfway(mid, far end)``, of the bracket they split."""
+    entry, evaluations, (_, mid, _) = hand_over
+    midpoints = []
+    for i, p in enumerate(obj.transcript[evaluations:]):
+        xl, xr = log[entry + i]
+        if p.x == halfway(mid.x, xl if mid.x - xl > xr - mid.x else xr):
+            midpoints.append(i)
+        if p.y < mid.y:
+            mid = p
+    return midpoints
+
+
+@pytest.mark.parametrize("text, interval, evaluations", [
+    # random-expr seed 1, target 1590: 125 evaluations with the guard alone.
+    ("0.6448200455862251*abs(x - 0.0462643094113524)^2.6080783431161154"
+     " + 0.8396541315524333",
+     Interval(0.010044217227837125, 3.8580309402364654), 47),
+    # random-expr seed 1, target 1834: 125 with the guard alone.
+    ("1.350578507353226*abs(x - 0.7643319960381341)^3.650601477408543"
+     " + -1.0772520996751025",
+     Interval(0.7253313548590228, 3.536314412256652), 21),
+    # The random fixture's target 194: 95 with the guard alone.
+    ("9.551897101664428*abs(x - 9.359449724191165)^4.83681359918768"
+     " + -2.608792810599149",
+     Interval(9.347325156895526, 13.257221909792143), 43),
+], ids=["seed-1-target-1590", "seed-1-target-1834", "fixture-target-194"])
+def test_ratio_a_step_test_cuts_the_random_expr_tail(text, interval, evaluations):
+    # p > 2: the parabolic vertices keep landing on one side of mid, far
+    # enough to be admissible yet barely moving it.  Brent's step test
+    # sends the guard's probe to the middle of the larger side before the
+    # guard's first check is due, which a midpoint probe among phase 2's
+    # first K probes shows.
+    tol = Tolerance(max_evaluations=50_000)
+    obj, log = CountingObjective(parse_expression(text)), []
+    out, hand_over = _ratio_a_noting_the_hand_over(obj, interval, tol, 1e-3, log)
+    assert out.converged
+    assert out.evaluations == evaluations
+    assert min(_phase_2_midpoints(obj, log, hand_over)) < _GUARD_PERIOD
 
 
 def test_ratio_a_phase_2_vertex_is_parabola_vertex_bit_for_bit():

@@ -185,3 +185,19 @@ def test_main_records_both_opcounts_beside_the_pairs(tmp_path, monkeypatch,
     assert summary["metrics"]["solves_per_s"]["change_wins"] == 2
     assert summary["config_totals_identical_in_every_pair"]
 
+
+def test_main_runs_its_seeds_from_the_first_seed(tmp_path, monkeypatch):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}],
+    }))
+    monkeypatch.setattr(pairs_script.subprocess, "run", _fake_run)
+    assert pairs_script.main(["--parent", str(trees["parent"]), "--change",
+                              str(trees["change"]), "--number", "3", "--pairs", "2",
+                              "--first-seed", "501"]) == 0
+    out = json.loads((trees["change"] / "BENCH_3.json").read_text())
+    assert out["workloads"]["w"]["seeds"] == [501, 502]
+    assert out["workloads"]["v"]["seeds"] == [503, 504]

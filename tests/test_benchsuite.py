@@ -424,8 +424,10 @@ def test_freeze_script_rewrites_every_fixture_unchanged(tmp_path):
 
 def test_freeze_script_diff_names_each_moved_row(tmp_path, capsys):
     # --diff writes nothing and prints each moved row with the old and new
-    # value of every column that changed: here one edited count and one
-    # edited digest of the random fixture, and one row the live runs lack.
+    # value of every column that changed, then how many of a fixture's
+    # moved rows fell, rose or kept their count: here in the random
+    # fixture a count edited up with a digest, a count edited down, a
+    # digest alone, and one row the live runs lack.
     script = load_script("freeze_fixtures")
     for path in DATA_DIR.iterdir():
         (tmp_path / path.name).write_bytes(path.read_bytes())
@@ -434,8 +436,10 @@ def test_freeze_script_diff_names_each_moved_row(tmp_path, capsys):
     assert "rows moved" in capsys.readouterr().out
     path = tmp_path / "random_transcript_digests.csv"
     lines = path.read_text().splitlines(keepends=True)
-    row = lines[1].split(",")
+    row, down, kept = (line.split(",") for line in lines[1:4])
     lines[1] = ",".join([*row[:2], "999", *row[3:6], "0" * 16 + "\n"])
+    lines[2] = ",".join([*down[:2], "1", *down[3:]])
+    lines[3] = ",".join([*kept[:6], "0" * 16 + "\n"])
     lines.append("brent,300,1,strict_interior,converged,0,0\n")
     path.write_text("".join(lines))
     edited = path.read_bytes()
@@ -445,9 +449,15 @@ def test_freeze_script_diff_names_each_moved_row(tmp_path, capsys):
     assert [line for line in out if line.startswith("random_transcript")] == [
         f"random_transcript_digests.csv bisect,0: evaluations 999 -> {row[2]}, "
         f"brackets_sha256 {'0' * 16} -> {row[6].strip()}",
+        f"random_transcript_digests.csv bisect,1: evaluations 1 -> {down[2]}",
+        f"random_transcript_digests.csv bisect,2: "
+        f"brackets_sha256 {'0' * 16} -> {kept[6].strip()}",
         "random_transcript_digests.csv brent,300: "
         "only frozen: 1,strict_interior,converged,0,0",
-        "random_transcript_digests.csv: 2 of 1801 rows moved",
+        "random_transcript_digests.csv: 4 of 1801 rows moved",
+        "random_transcript_digests.csv: 1 fell, 1 rose, 1 kept their count; "
+        f"evaluations {999 + 1 + int(kept[2])} -> "
+        f"{int(row[2]) + int(down[2]) + int(kept[2])} in those rows",
     ]
     for name in script.FIXTURES:
         if name != path.name:

@@ -121,6 +121,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+def test_import_compiles_no_regular_expression():
+    # A compile costs about half a millisecond of every cold start; the
+    # expression parser compiles its token pattern on its first parse.
+    code = ("import re, sys; sys.path.insert(0, sys.argv[1]); "
+            "compiler = getattr(re, '_compiler', None) or __import__('sre_compile'); "
+            "made, compile = [], compiler.compile; "
+            "compiler.compile = lambda p, flags=0: made.append(p) or compile(p, flags); "
+            "import ratiosect; print(len(made)); "
+            "ratiosect.parse_expression('x'); print(len(made))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC_DIR)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n1\n"
+
+
 @given(x=moderate)
 def test_e0_positive_and_even(x):
     tol = Tolerance()
