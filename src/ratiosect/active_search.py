@@ -38,6 +38,7 @@ from .core import (
     _Record,
     _drive,
     halfway,
+    stop_test,
 )
 from .section_search import RatioConfig, _ratio_section
 
@@ -155,9 +156,9 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     # before it landed.
     last = before = math.inf
     while True:
-        tiny = epsilon * abs(xm) + floor
-        if xr - xl <= 2.0 * tiny:
+        if stop_test(xl, xr, xm, tol):
             break
+        tiny = epsilon * abs(xm) + floor
         forced = not left
         if forced and (half := 0.5 * xr - 0.5 * xl) <= target:
             # Halved since the last check: count afresh.
@@ -235,8 +236,8 @@ def minimize_ratio_a(
     otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward the
     farther bracket endpoint ``s`` (never closer to ``mid`` than
     ``e0``).  Two adjacent triple points sharing an ordinate classify the
-    target as flat-bottomed; the run converges when the bracket width
-    drops to ``2*e0``.
+    target as flat-bottomed; the run converges when the bracket passes
+    the shared :func:`~ratiosect.core.stop_test` around ``mid``.
 
     Brent's step test screens each vertex first: a vertex that is not
     under half as far from ``mid`` as the probe before last was (the
