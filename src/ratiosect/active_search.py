@@ -15,10 +15,11 @@ flat bottom cannot hold it open.
 
 It is one step generator, run by the private driver of
 :mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
-steps at ``c = 0.5``, recognizers included, so degenerate targets finish
-as fast.  At the hand-over phase 2 detaches the recognizer from the driver;
-it then runs on six floats, with :func:`parabola_vertex`'s formula written
-out, and yields each probe as a plain abscissa.
+steps at ``c = 0.5``, so degenerate targets finish as fast.  Phase 2 runs
+on six floats, with :func:`parabola_vertex`'s formula written out, and
+stops on the shared :func:`~ratiosect.core.stop_test`.  The driver shows
+the recognizer every probe of both phases, so its rules are the run's
+only flat-bottom and monotone rules.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     MinimizeOutcome,
     Point2,
     Tolerance,
-    _DETACH,
     _Record,
     _drive,
     halfway,
@@ -43,7 +43,6 @@ from .core import (
 from .section_search import RatioConfig, _ratio_section
 
 _STRICT = FunctionClass.STRICT_INTERIOR
-_FLAT = FunctionClass.FLAT_BOTTOM
 
 #: Phase 2's contraction guard checks the bracket every ``_GUARD_PERIOD``
 #: probes (see :func:`minimize_ratio_a`).
@@ -141,9 +140,6 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             return stop.value
 
     # --- Phase 2: successive parabolic interpolation with guards --------
-    # The recognizer sees no phase-2 probe: detached, the driver evaluates
-    # each plain abscissa as it would classical Brent's.
-    yield _DETACH
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
     (xl, yl), (xm, ym), (xr, yr) = triple
@@ -211,9 +207,6 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             xr, yr = r, y
         if bracket_log is not None:
             bracket_log.append((xl, xr))
-        # Plateau: equal ordinates on adjacent triple points.
-        if yl == ym or ym == yr:
-            return xm, ym, _FLAT
     return xm, ym, _STRICT
 
 
@@ -235,9 +228,8 @@ def minimize_ratio_a(
     bracket and is at least ``e0`` away from the current best point;
     otherwise place a ratio probe ``r = c*s + (1-c)*mid.x`` toward the
     farther bracket endpoint ``s`` (never closer to ``mid`` than
-    ``e0``).  Two adjacent triple points sharing an ordinate classify the
-    target as flat-bottomed; the run converges when the bracket passes
-    the shared :func:`~ratiosect.core.stop_test` around ``mid``.
+    ``e0``).  The run converges when the bracket passes the shared
+    :func:`~ratiosect.core.stop_test` around ``mid``.
 
     Brent's step test screens each vertex first: a vertex that is not
     under half as far from ``mid`` as the probe before last was (the
@@ -249,11 +241,13 @@ def minimize_ratio_a(
     long before the guard's check is due.
 
     Phase 2 keeps the triple in six floats.  Phase 1's scan hands over
-    ``xl < xm < xr`` with ``ym`` strictly lowest, and each step keeps
-    both: the probe lies inside ``(xl, xr)`` at least ``e0`` from
-    ``xm``, and an ordinate equal to ``ym`` ends the run as a flat bottom.
-    A clamped probe that rounds back onto ``xm`` (``e0`` under half an ulp
-    of ``xm``) is not taken: the run ends at resolution.
+    ``xl < xm < xr`` with ``ym`` strictly lowest, and each step keeps the
+    order with ``ym`` lowest: the probe lies inside ``(xl, xr)`` at least
+    ``e0`` from ``xm``, and a probe that ties ``ym`` becomes the end on its
+    side.  Phase 2 has no flat-bottom rule of its own: the recognizer sees
+    its probes too, and a third abscissa on one ordinate ends the run as a
+    flat bottom.  A clamped probe that rounds back onto ``xm`` (``e0``
+    under half an ulp of ``xm``) is not taken: the run ends at resolution.
 
     A contraction guard bounds phase 2.  Every ``K = 10`` probes (the
     step test's included, its own forced ones not) it checks whether the

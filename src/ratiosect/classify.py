@@ -17,9 +17,9 @@ cases cheaply:
   variant asks of such a triple: abscissas more than ``2*e0`` apart.
 * :class:`Recognizer` — both rules over one solver run, fed the point
   each evaluation returns, at O(1) cost per evaluation.  The solvers'
-  driver feeds it for ratio-p, phase 1 of ratio-a and the modernized
-  Brent variant.  It evaluates nothing: the driver evaluates each
-  monotone probe it asks for, placed and judged as in :func:`detect_monotone`.
+  driver feeds it for ratio-p, ratio-a and the modernized Brent variant.
+  It evaluates nothing: the driver evaluates each monotone probe it asks
+  for, placed and judged as in :func:`detect_monotone`.
 """
 
 from __future__ import annotations

@@ -281,11 +281,6 @@ class MinimizeOutcome(NamedTuple):
         return self.status is _CONVERGED
 
 
-#: Yielded by a step generator to stop feeding the recognizer: a tuple, so
-#: the driver's per-abscissa path never tests for it.
-_DETACH = ("detach",)
-
-
 def _drive(
     obj: CountingObjective,
     tol: Tolerance,
@@ -306,10 +301,6 @@ def _drive(
     ``None`` is sent and the run is ``budget_exhausted``; the generator
     then returns, after at most one fallback abscissa.  It returns its
     incumbent ``(x, y, classification)``.
-
-    ``_DETACH`` evaluates nothing and is sent ``None``.  The recognizer
-    sees no point after it, so the run's later abscissas take the path of
-    a run with no recognizer.
 
     An :class:`EvaluationError` propagates unchanged: the run ends with no
     outcome, and the points it evaluated stay in ``obj.transcript``.
@@ -344,8 +335,6 @@ def _drive(
                 status, reply = SolveStatus.BUDGET_EXHAUSTED, None
         elif len(x) == 2 and len(transcript) + 2 <= limit:
             reply = evaluate(x[0]), evaluate(x[1])
-        elif x is _DETACH:
-            observe = reply = None
         elif not x and len(transcript) < limit:
             reply = ()
         else:

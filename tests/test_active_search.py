@@ -25,7 +25,6 @@ from ratiosect.core import (
     Point2,
     SolveStatus,
     Tolerance,
-    _DETACH,
     _drive,
     e0,
     halfway,
@@ -230,18 +229,17 @@ class SpyRecognizer(Recognizer):
     (lambda x: abs(x - 0.3) ** 1.5, Interval(-2.0, 1.0)),
     (benchmark_function(12).evaluator, benchmark_function(12).interval),
 ])
-def test_recognizer_sees_no_probe_after_the_hand_over(f, interval):
+def test_recognizer_sees_every_phase_2_probe(f, interval):
     spy = SpyRecognizer(interval, TOL)
     obj = CountingObjective(f)
     out = _drive(obj, TOL, _ratio_a(interval, TOL, 1e-3, spy.distinct, None), spy)
     assert out == minimize_ratio_a(CountingObjective(f), interval, TOL)
-    # It saw phase 1 up to the point that completed a bracketing triple,
-    # and none of phase 2's probes.
-    seen = len(spy.seen)
-    assert 0 < seen < out.evaluations
-    assert spy.seen == obj.transcript[:seen]
-    assert _scan_for_triple(spy.distinct) is not None
-    assert _scan_for_triple(spy.distinct[:-1]) is None
+    # It saw every point of the run, phase 2's probes included: points
+    # joined after the first that completed a bracketing triple.
+    assert spy.seen == obj.transcript
+    hand_over = next(n for n in range(1, len(spy.distinct) + 1)
+                     if _scan_for_triple(spy.distinct[:n]) is not None)
+    assert hand_over < len(spy.distinct)
 
 
 @given(
@@ -310,7 +308,8 @@ def _check_any_configuration(solve, c, ends, epsilon, floor, budget, a,
 def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
     """``minimize_ratio_a``'s run, and at the hand-over to phase 2 (if
     any) the length of ``log``, the evaluation count and the triple's
-    ``(left, mid, right)`` points, else ``None``."""
+    ``(left, mid, right)`` points, else ``None``.  The hand-over is the
+    first reply after which the run's points hold a bracketing triple."""
     recognizer = Recognizer(interval, tol)
     hand_over = []
 
@@ -321,10 +320,9 @@ def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
                 x = inner.send(reply)
             except StopIteration as stop:
                 return stop.value
-            if x is _DETACH:
-                hand_over.append((len(log), obj.count,
-                                  _scan_for_triple(recognizer.distinct)))
             reply = yield x
+            if not hand_over and (triple := _scan_for_triple(recognizer.distinct)):
+                hand_over.append((len(log), obj.count, triple))
 
     out = _drive(obj, tol, steps(_ratio_a(interval, tol, c, recognizer.distinct, log)),
                  recognizer)
@@ -416,8 +414,10 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
     # their mirror images (600 runs).  Without the guard the worst run
     # spent the whole budget of 1000 evaluations and 71 runs spent 100 or
     # more; now every run's phase 2 keeps the docstring's bound, and the
-    # worst run spends 30 evaluations in all (52 with the guard alone,
-    # before phase 2 took Brent's step test).
+    # worst run spends 31 evaluations in all (52 with the guard alone,
+    # before phase 2 took Brent's step test; 30 while phase 2 called two
+    # tied bracket points a plateau, one probe before the recognizer's
+    # third tied abscissa).
     bf = benchmark_function(10)
     rng = random.Random(3)
     worst = 0
@@ -431,7 +431,7 @@ def test_ratio_a_random_plateau_intervals_stay_under_the_guard_bound():
             assert out.converged
             assert out.evaluations - evaluations <= _guard_bound(log[entry], TOL.floor)
             worst = max(worst, out.evaluations)
-    assert worst == 30
+    assert worst == 31
 
 
 def _phase_2_midpoints(obj, log, hand_over):
@@ -456,18 +456,19 @@ def _phase_2_midpoints(obj, log, hand_over):
     # random-expr seed 1, target 1834: 125 with the guard alone.
     ("1.350578507353226*abs(x - 0.7643319960381341)^3.650601477408543"
      " + -1.0772520996751025",
-     Interval(0.7253313548590228, 3.536314412256652), 21),
+     Interval(0.7253313548590228, 3.536314412256652), 22),
     # The random fixture's target 194: 95 with the guard alone.
     ("9.551897101664428*abs(x - 9.359449724191165)^4.83681359918768"
      " + -2.608792810599149",
-     Interval(9.347325156895526, 13.257221909792143), 43),
+     Interval(9.347325156895526, 13.257221909792143), 44),
 ], ids=["seed-1-target-1590", "seed-1-target-1834", "fixture-target-194"])
 def test_ratio_a_step_test_cuts_the_random_expr_tail(text, interval, evaluations):
     # p > 2: the parabolic vertices keep landing on one side of mid, far
     # enough to be admissible yet barely moving it.  Brent's step test
     # sends the guard's probe to the middle of the larger side before the
     # guard's first check is due, which a midpoint probe among phase 2's
-    # first K probes shows.
+    # first K probes shows.  The last two end on the recognizer's third
+    # abscissa of the bottom ordinate, one probe after its second.
     tol = Tolerance(max_evaluations=50_000)
     obj, log = CountingObjective(parse_expression(text)), []
     out, hand_over = _ratio_a_noting_the_hand_over(obj, interval, tol, 1e-3, log)
@@ -498,19 +499,43 @@ def test_ratio_a_phase_2_vertex_is_parabola_vertex_bit_for_bit():
     assert compared == 2829
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "phase 2 reads two adjacent bracket points with equal ordinates as a "
-    "flat bottom, but two points mirrored about the vertex of a symmetric "
-    "target tie as well; the run stops at x=-3.132281 after 10 evaluations, "
-    "1.33e-3 from v"))
-def test_ratio_a_mirrored_points_are_not_a_plateau():
-    # x=-3.132281 and x=-3.129625 straddle v and evaluate to the same float.
-    v = -3.1309531620863895
-    f = parse_expression(
-        "0.06804616180166694*abs(x - -3.1309531620863895)^4.225646312597501"
-        " + 0.7162131583056928")
-    out = minimize_ratio_a(
-        CountingObjective(f),
-        Interval(-3.6157112783660295, -1.9377811921288894),
-        Tolerance(max_evaluations=50_000), RatioConfig(1e-3))
-    assert abs(out.x_min - v) <= 1.1271467383511002e-3
+@pytest.mark.parametrize("a, v, p, k, interval, slack", [
+    # random-expr seed 56, target 521: x=-3.132281 and x=-3.129625 tie.
+    (0.06804616180166694, -3.1309531620863895, 4.225646312597501,
+     0.7162131583056928, Interval(-3.6157112783660295, -1.9377811921288894),
+     1.1271467383511002e-3),
+    # random-expr seed 155, target 1624.
+    (0.32272359967352665, -0.12943771468225052, 2.8193375594415317,
+     -4.916217951876851, Interval(-0.18304822991656647, -0.11372140899002396),
+     3.624536011103015e-05),
+    # random-expr seed 200, target 780.
+    (0.05782036692544542, 8.063967510498621, 4.67741199072198,
+     1.7029883515963302, Interval(5.473470106501265, 8.174816081356289),
+     2.903031903779504e-3),
+], ids=["seed-56-target-521", "seed-155-target-1624", "seed-200-target-780"])
+def test_ratio_a_mirrored_points_are_not_a_plateau(a, v, p, k, interval, slack):
+    # Two points mirrored about v evaluate to the same float.  When phase 2
+    # called two tied bracket points a plateau, these runs stopped at
+    # x=-3.132281, -0.129480 and 8.067022, each outside its slack (the
+    # random-expr workload's accuracy rule).
+    f = parse_expression(f"{a!r}*abs(x - {v!r})^{p!r} + {k!r}")
+    out = minimize_ratio_a(CountingObjective(f), interval,
+                           Tolerance(max_evaluations=50_000), RatioConfig(1e-3))
+    assert out.converged
+    assert abs(out.x_min - v) <= slack
+
+
+def test_ratio_a_hand_over_tie_is_not_a_plateau():
+    # A strictly unimodal target a few ulps wide.  Phase 1's fourth probe,
+    # x=-7.6260636554092684, ties the best ordinate; the hand-over triple
+    # skips it, though it lies inside the triple's bracket, and phase 2
+    # probes it again at the sixth evaluation.  When phase 2 called two tied
+    # bracket points a plateau, the run ended flat_bottom there.
+    f = lambda x: abs(x - -7.626063655409268) ** 2.1010047812522377
+    out = minimize_ratio_a(CountingObjective(f),
+                           Interval(-7.626063655409269, -7.6260636554092605),
+                           Tolerance(4.2028922753398313e-215, 9.161736857147499e-204, 32),
+                           RatioConfig(0.2))
+    assert out.classification is FunctionClass.STRICT_INTERIOR
+    assert out.status is SolveStatus.CONVERGED
+    assert out.x_min == -7.626063655409267
