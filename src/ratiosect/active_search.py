@@ -151,9 +151,7 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     # Brent's step test: how far from mid the last probe and the one
     # before it landed.
     last = before = math.inf
-    while True:
-        if stop_test(xl, xr, xm, tol):
-            break
+    while not stop_test(xl, xr, xm, tol):
         tiny = epsilon * abs(xm) + floor
         forced = not left
         if forced and (half := 0.5 * xr - 0.5 * xl) <= target:
