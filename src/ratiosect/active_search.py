@@ -16,8 +16,9 @@ flat bottom cannot hold it open.
 It is one step generator, run by the private driver of
 :mod:`~ratiosect.core` under one budget.  Phase 1 is the passive solver's
 steps at ``c = 0.5``, so degenerate targets finish as fast.  Phase 2 runs
-on six floats, with :func:`parabola_vertex`'s formula written out, and
-stops on the shared :func:`~ratiosect.core.stop_test`.  The driver shows
+on six floats, with :func:`parabola_vertex`'s formula written out.  Each
+step of both phases carries its bracket and incumbent, so the driver runs
+the shared :func:`~ratiosect.core.stop_test` on them.  The driver shows
 the recognizer every probe of both phases, so its rules are the run's
 only flat-bottom and monotone rules.
 """
@@ -38,7 +39,6 @@ from .core import (
     _Record,
     _drive,
     halfway,
-    stop_test,
 )
 from .section_search import RatioConfig, _ratio_section
 
@@ -121,21 +121,20 @@ def _scan_for_triple(points: list[Point2]) -> tuple[Point2, Point2, Point2] | No
     return left, best, right
 
 
-def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2],
-             bracket_log: list[tuple[float, float]] | None):
+def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2]):
     """The steps of :func:`minimize_ratio_a`; ``distinct`` is the run's
     points, one per abscissa, as the recognizer keeps them."""
     # --- Phase 1: ratio-p's steps at c = 0.5, until a bracketing triple ---
     # Passed on one at a time, as the triple test falls between the
-    # recognizer's and phase 1's next stop test.
-    phase1 = _ratio_section(interval, tol, 0.5, bracket_log)
-    x = next(phase1)
+    # recognizer's and phase 1's next step.
+    phase1 = _ratio_section(interval, 0.5)
+    step = next(phase1)
     while True:
-        point = yield x
+        point = yield step
         if (triple := _scan_for_triple(distinct)) is not None:
             break
         try:
-            x = phase1.send(point)
+            step = phase1.send(point)
         except StopIteration as stop:
             return stop.value
 
@@ -143,15 +142,13 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
     (xl, yl), (xm, ym), (xr, yr) = triple
-    if bracket_log is not None:
-        bracket_log.append((xl, xr))
     # Contraction guard: the bracket's half-width must fall to ``target``
     # within ``left`` probes; half-widths cannot overflow.
     target, left = 0.25 * xr - 0.25 * xl, _GUARD_PERIOD
     # Brent's step test: how far from mid the last probe and the one
     # before it landed.
     last = before = math.inf
-    while not stop_test(xl, xr, xm, tol):
+    while True:
         tiny = epsilon * abs(xm) + floor
         forced = not left
         if forced and (half := 0.5 * xr - 0.5 * xl) <= target:
@@ -187,7 +184,7 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             # resolution (the empty batch).
             if r == xm or not xl < r < xr:
                 r = ()
-        point = yield r
+        point = yield r, xl, xr, xm
         if not point:
             break
         y = point[1]
@@ -203,8 +200,6 @@ def _ratio_a(interval: Interval, tol: Tolerance, c: float, distinct: list[Point2
             xl, yl = r, y
         else:
             xr, yr = r, y
-        if bracket_log is not None:
-            bracket_log.append((xl, xr))
     return xm, ym, _STRICT
 
 
@@ -264,5 +259,5 @@ def minimize_ratio_a(
     """
     c = 1e-3 if cfg is None else cfg.c
     recognizer = Recognizer(interval, tol)
-    return _drive(obj, tol, _ratio_a(interval, tol, c, recognizer.distinct,
-                                     bracket_log), recognizer)
+    return _drive(obj, tol, _ratio_a(interval, tol, c, recognizer.distinct),
+                  recognizer, bracket_log)

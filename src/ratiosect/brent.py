@@ -32,7 +32,6 @@ from .core import (
     _drive,
     _section,
     halfway,
-    stop_test,
 )
 from .section_search import RatioConfig
 
@@ -43,22 +42,19 @@ _STRICT = FunctionClass.STRICT_INTERIOR
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _brent(interval: Interval, tol: Tolerance, c: float,
-           bracket_log: list[tuple[float, float]] | None):
+def _brent(interval: Interval, tol: Tolerance, c: float):
     """The steps of both Brent solvers, with fallback steps ``d = c*e``."""
     a, b = interval.lo, interval.hi
-    if bracket_log is not None:
-        bracket_log.append((a, b))
     # Read once per solve; the loop uses them on every probe.
     epsilon, floor = tol.epsilon, tol.floor
     # Every budget has room for the first probe.
-    x, fx = yield _section(a, b, GOLDEN_STEP)
+    x, fx = yield _section(a, b, GOLDEN_STEP), a, b, None
     w, fw = x, fx
     v, fv = x, fx
     d = 0.0
     e = 0.0
 
-    while not stop_test(a, b, x, tol):
+    while True:
         m = halfway(a, b)
         tol1 = epsilon * abs(x) + floor
         t2 = 2.0 * tol1
@@ -98,7 +94,7 @@ def _brent(interval: Interval, tol: Tolerance, c: float,
             u = x + d if d - d == 0.0 else x + half + half
         else:
             u = x + (tol1 if d >= 0.0 else -tol1)
-        point = yield u
+        point = yield u, a, b, x
         if point is None:
             break
         fu = point[1]
@@ -121,8 +117,6 @@ def _brent(interval: Interval, tol: Tolerance, c: float,
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-        if bracket_log is not None:
-            bracket_log.append((a, b))
     return x, fx, _STRICT
 
 
@@ -142,7 +136,7 @@ def brent_minimize(
     taken.  Every probe is kept at least ``e0(x)`` away from ``x``.  No
     classification is attempted: the verdict is always ``strict_interior``.
     """
-    return _drive(obj, tol, _brent(interval, tol, GOLDEN_STEP, bracket_log))
+    return _drive(obj, tol, _brent(interval, tol, GOLDEN_STEP), bracket_log=bracket_log)
 
 
 def brent_m_minimize(
@@ -171,4 +165,4 @@ def brent_m_minimize(
     """
     c = 0.2 if cfg is None else cfg.c
     recognizer = Recognizer(interval, tol, spaced=True) if use_recognizers else None
-    return _drive(obj, tol, _brent(interval, tol, c, bracket_log), recognizer)
+    return _drive(obj, tol, _brent(interval, tol, c), recognizer, bracket_log)

@@ -7,10 +7,11 @@ count is the performance metric everything else reports, so the wrapper
 never caches — asking for the same abscissa twice costs two evaluations.
 A :class:`Point2` is an immutable ``(x, y)`` tuple, equal to a plain one.
 
-Termination is shared across solvers: a run stops once the whole bracket
-``[a, b]`` around the incumbent abscissa lies within twice the
-position-dependent tolerance ``e0(x) = epsilon*|x| + floor``.  The
-predicate is :func:`stop_test`.
+Termination is shared across solvers and run by the driver alone: each
+step a solver yields carries its bracket ``[a, b]`` and incumbent
+abscissa, and the run stops once the whole bracket lies within twice the
+position-dependent tolerance ``e0(x) = epsilon*|x| + floor`` of the
+incumbent.  The predicate is :func:`stop_test`.
 """
 
 from __future__ import annotations
@@ -286,21 +287,28 @@ def _drive(
     tol: Tolerance,
     steps: Generator[Any, Any, tuple[float, float, FunctionClass]],
     recognizer: Any = None,
+    bracket_log: list[tuple[float, float]] | None = None,
 ) -> MinimizeOutcome:
-    """Run a solver's step generator on ``obj``: the one place that checks
-    the budget, evaluates, feeds the recognizer and builds the outcome.
+    """Run a solver's step generator on ``obj``: the one place that runs
+    the stop test, checks the budget, evaluates, feeds the recognizer and
+    builds the outcome.
 
-    ``steps`` runs its stop test, then yields what to evaluate and is sent
-    what came of it.  An abscissa gets its point, which ``recognizer`` (if
-    any) has seen first; its first verdict ``(classification, point)``
-    ends the run, and each monotone probe it asks for is evaluated, given
-    room for two, and handed to ``recognizer.probed``.  A batch, a pair of
-    abscissas, gets its pair of points, unseen by the recognizer and
-    evaluated only if the budget has room for both; the empty batch needs
-    room for one and gets ``()``.  With no room, nothing is evaluated,
-    ``None`` is sent and the run is ``budget_exhausted``; the generator
-    then returns, after at most one fallback abscissa.  It returns its
-    incumbent ``(x, y, classification)``.
+    ``steps`` yields steps ``(probe, a, b, m)`` and is sent what came of
+    each probe.  A step whose incumbent abscissa ``m`` is not ``None`` has
+    its bracket ``[a, b]`` appended to ``bracket_log`` (if given) and meets
+    :func:`stop_test`, before the budget test: if the test passes, the
+    probe is not evaluated, ``None`` is sent and the run is ``converged``.
+    Setup probes and fallbacks carry ``m = None`` and meet neither.
+    An abscissa gets its point, which ``recognizer`` (if any) has seen
+    first; its first verdict ``(classification, point)`` ends the run, and
+    each monotone probe it asks for is evaluated, given room for two, and
+    handed to ``recognizer.probed``.  A batch, a pair of abscissas, gets
+    its pair of points, unseen by the recognizer and evaluated only if the
+    budget has room for both; the empty batch needs room for one and gets
+    ``()``.  With no room, nothing is evaluated, ``None`` is sent and the
+    run is ``budget_exhausted``.  Sent ``None``, the generator returns,
+    after at most one fallback abscissa, its incumbent
+    ``(x, y, classification)``.
 
     An :class:`EvaluationError` propagates unchanged: the run ends with no
     outcome, and the points it evaluated stay in ``obj.transcript``.
@@ -314,10 +322,16 @@ def _drive(
     status, reply = _CONVERGED, None
     while True:
         try:
-            x = send(reply)
+            x, a, b, m = send(reply)
         except StopIteration as stop:
             x, y, kind = stop.value
             break
+        if m is not None:
+            if bracket_log is not None:
+                bracket_log.append((a, b))
+            if stop_test(a, b, m, tol):
+                reply = None
+                continue
         if x.__class__ is not tuple:
             if len(transcript) < limit:
                 reply = evaluate(x)

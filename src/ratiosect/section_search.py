@@ -12,9 +12,10 @@ evaluations and monotone targets in 6.
 Each solver is a step generator run by the private driver of
 :mod:`~ratiosect.core`, which owns the budget, the evaluations, the
 recognizer feed and the outcome.  The generator yields its next abscissa
-(bisection a pair, golden its first pair), is sent the evaluated point,
-and appends the ``(a, b)`` bracket after its setup and after each
-iteration to the optional ``bracket_log`` list, which the tests read.
+(bisection a pair, golden its first pair) with its bracket and
+incumbent, and is sent the evaluated point.  The driver runs the stop
+test on each such step, and logs the bracket at each stop test to the
+optional ``bracket_log`` list, which the tests read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     _drive,
     _section,
     halfway,
-    stop_test,
 )
 
 _STRICT = FunctionClass.STRICT_INTERIOR
@@ -52,20 +52,18 @@ class RatioConfig(_Record):
         super().__init__(c)
 
 
-def _bisection(interval: Interval, tol: Tolerance,
-               bracket_log: list[tuple[float, float]] | None):
+def _bisection(interval: Interval, tol: Tolerance):
     """The steps of :func:`minimize_bisection`."""
     a, b = interval.lo, interval.hi
-    if bracket_log is not None:
-        bracket_log.append((a, b))
     # Read once per solve; the loop uses them on every probe pair.
     epsilon, floor = tol.epsilon, tol.floor
     # The earliest lowest point so far (bx, by), and the ordinates at a
     # and b (None while that end is still an unevaluated interval end).
     bx = by = ya = yb = None
-    while not stop_test(a, b, mid := halfway(a, b), tol):
+    while True:
+        mid = halfway(a, b)
         delta = 0.5 * (epsilon * abs(mid) + floor)
-        pair = yield mid - delta, mid + delta
+        pair = yield (mid - delta, mid + delta), a, b, mid
         if pair is None:
             break
         (x1, y1), (x2, y2) = pair
@@ -83,12 +81,10 @@ def _bisection(interval: Interval, tol: Tolerance,
             bx, by = x1, y1
         if y2 < by:
             bx, by = x2, y2
-        if bracket_log is not None:
-            bracket_log.append((a, b))
     if by is None:
         # Nothing spent (a degenerate-tiny interval, or no room for a
         # pair): spend one evaluation so f_min is meaningful.
-        bx, by = yield halfway(a, b)
+        bx, by = yield halfway(a, b), a, b, None
     return bx, by, _STRICT
 
 
@@ -113,49 +109,45 @@ def minimize_bisection(
     pair, one evaluation at the midpoint.  No classification beyond
     ``strict_interior``.
     """
-    return _drive(obj, tol, _bisection(interval, tol, bracket_log))
+    return _drive(obj, tol, _bisection(interval, tol), bracket_log=bracket_log)
 
 
-def _golden(interval: Interval, tol: Tolerance,
-            bracket_log: list[tuple[float, float]] | None):
+def _golden(interval: Interval):
     """The steps of :func:`minimize_golden`."""
     a, b = interval.lo, interval.hi
-    if bracket_log is not None:
-        bracket_log.append((a, b))
-    pair = yield _section(b, a, GOLDEN_RATIO), _section(a, b, GOLDEN_RATIO)
+    pair = yield (_section(b, a, GOLDEN_RATIO), _section(a, b, GOLDEN_RATIO)), a, b, None
     if pair is None:
         # No room for the first pair: the one evaluation goes to the midpoint.
-        x, y = yield halfway(a, b)
+        x, y = yield halfway(a, b), a, b, None
         return x, y, _STRICT
     (x1, y1), (x2, y2) = pair
     # The earliest lowest point so far.
     bx, by = (x2, y2) if y2 < y1 else (x1, y1)
-    while not stop_test(a, b, x1 if y1 <= y2 else x2, tol):
-        # The width can still overflow after the first cuts of a bracket
-        # wider than about 2.9e308.  The finite case stays inline: a call
-        # per cut costs golden a few percent of its time.
+    while True:
+        # The probe is placed from the bracket before its cut, the step's
+        # state.  The width can still overflow after the first cuts of a
+        # bracket wider than about 2.9e308.  The finite case stays inline:
+        # a call per cut costs golden a few percent of its time.
         if y1 <= y2:
+            w = x2 - a
+            x = x2 - GOLDEN_RATIO * w if math.isfinite(w) else _section(x2, a, GOLDEN_RATIO)
+            point = yield x, a, b, x1
+            if point is None:
+                break
             b = x2
             x2, y2 = x1, y1
-            w = b - a
-            x1 = b - GOLDEN_RATIO * w if math.isfinite(w) else _section(b, a, GOLDEN_RATIO)
-            point = yield x1
+            x1, y1 = point
+        else:
+            w = b - x1
+            x = x1 + GOLDEN_RATIO * w if math.isfinite(w) else _section(x1, b, GOLDEN_RATIO)
+            point = yield x, a, b, x2
             if point is None:
                 break
-            y1 = point[1]
-        else:
             a = x1
             x1, y1 = x2, y2
-            w = b - a
-            x2 = a + GOLDEN_RATIO * w if math.isfinite(w) else _section(a, b, GOLDEN_RATIO)
-            point = yield x2
-            if point is None:
-                break
-            y2 = point[1]
+            x2, y2 = point
         if point[1] < by:
             bx, by = point
-        if bracket_log is not None:
-            bracket_log.append((a, b))
     return bx, by, _STRICT
 
 
@@ -169,26 +161,23 @@ def minimize_golden(
     """Golden-section search: one evaluation per iteration after the
     initial interior pair, interval contracting by ``GOLDEN_RATIO``.
     Returns the earliest of the lowest points evaluated."""
-    return _drive(obj, tol, _golden(interval, tol, bracket_log))
+    return _drive(obj, tol, _golden(interval), bracket_log=bracket_log)
 
 
-def _ratio_section(interval: Interval, tol: Tolerance, c: float,
-                   bracket_log: list[tuple[float, float]] | None):
+def _ratio_section(interval: Interval, c: float):
     """The steps of :func:`minimize_ratio_p`, which phase 1 of
     :func:`~ratiosect.active_search.minimize_ratio_a` takes too."""
     a, b = interval.lo, interval.hi
-    if bracket_log is not None:
-        bracket_log.append((a, b))
     # Every budget has room for the first probe.
-    mx, my = yield halfway(a, b)
-    while not stop_test(a, b, mx, tol):
+    mx, my = yield halfway(a, b), a, b, None
+    while True:
         if b - mx >= mx - a:
             px = c * b + (1.0 - c) * mx
         else:
             px = c * a + (1.0 - c) * mx
         # On a bracket a few ulps wide the probe can round past its end:
         # no abscissa is left to probe (the empty batch), it is at resolution.
-        point = yield px if a <= px <= b else ()
+        point = yield (px if a <= px <= b else ()), a, b, mx
         if not point:
             break
         py = point[1]
@@ -205,8 +194,6 @@ def _ratio_section(interval: Interval, tol: Tolerance, c: float,
             a = px
         else:
             b = px
-        if bracket_log is not None:
-            bracket_log.append((a, b))
     return mx, my, _STRICT
 
 
@@ -240,5 +227,5 @@ def minimize_ratio_p(
     ``c = 1e-3`` and below (``1e-12`` included) or ``0.99`` and above spend
     the whole 1000-evaluation budget and report ``budget_exhausted``.
     """
-    return _drive(obj, tol, _ratio_section(interval, tol, cfg.c, bracket_log),
-                  Recognizer(interval, tol))
+    return _drive(obj, tol, _ratio_section(interval, cfg.c),
+                  Recognizer(interval, tol), bracket_log)

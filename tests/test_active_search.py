@@ -232,7 +232,7 @@ class SpyRecognizer(Recognizer):
 def test_recognizer_sees_every_phase_2_probe(f, interval):
     spy = SpyRecognizer(interval, TOL)
     obj = CountingObjective(f)
-    out = _drive(obj, TOL, _ratio_a(interval, TOL, 1e-3, spy.distinct, None), spy)
+    out = _drive(obj, TOL, _ratio_a(interval, TOL, 1e-3, spy.distinct), spy)
     assert out == minimize_ratio_a(CountingObjective(f), interval, TOL)
     # It saw every point of the run, phase 2's probes included: points
     # joined after the first that completed a bracketing triple.
@@ -317,15 +317,15 @@ def _ratio_a_noting_the_hand_over(obj, interval, tol, c, log):
         reply = None
         while True:
             try:
-                x = inner.send(reply)
+                step = inner.send(reply)
             except StopIteration as stop:
                 return stop.value
-            reply = yield x
+            reply = yield step
             if not hand_over and (triple := _scan_for_triple(recognizer.distinct)):
                 hand_over.append((len(log), obj.count, triple))
 
-    out = _drive(obj, tol, steps(_ratio_a(interval, tol, c, recognizer.distinct, log)),
-                 recognizer)
+    out = _drive(obj, tol, steps(_ratio_a(interval, tol, c, recognizer.distinct)),
+                 recognizer, log)
     return out, (hand_over[0] if hand_over else None)
 
 

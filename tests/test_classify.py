@@ -185,10 +185,10 @@ def test_recognizer_first_completed_level_decides():
 
 
 def yielding(xs):
-    """A solver's steps that ask for ``xs`` in turn, then return the last
-    point as an interior minimum."""
+    """A solver's steps that ask for ``xs`` in turn, with no bracket, then
+    return the last point as an interior minimum."""
     for x in xs:
-        point = yield x
+        point = yield x, None, None, None
     return point.x, point.y, FunctionClass.STRICT_INTERIOR
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import operator
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratiosect.benchsuite import MethodSpec, solve_one
+from ratiosect import active_search, brent, core, section_search
+from ratiosect.benchsuite import MethodSpec, _solver, solve_one
 from ratiosect.core import (
     CountingObjective,
     EvaluationError,
@@ -19,6 +21,7 @@ from ratiosect.core import (
     FunctionClass,
     Tolerance,
     e0,
+    _drive,
     halfway,
     stop_test,
 )
@@ -194,6 +197,37 @@ def test_budget_edges(method, budget):
     assert obj.count == spent
     if budget == 1 and method in ("bisect", "golden"):
         assert out.x_min == 0.5
+
+
+#: Each solver's bracket log on (x - 0.3)^2 over [0, 1] at budgets 1 and 2.
+_LOGS_AT_BUDGETS_1_AND_2 = {
+    "bisect": ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 0.50000250005)]),
+    "golden": ([], [(0.0, 1.0)]),
+    "ratio-p": ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 0.6000000000000001)]),
+    "ratio-a": ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 0.75)]),
+    "brent": ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 0.6180339887498948)]),
+    "brent-m": ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 0.5055728090000841)]),
+}
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_bracket_log_holds_the_bracket_at_each_stop_test(method, monkeypatch):
+    # Golden spends a budget of 1 on its midpoint fallback, with no room
+    # for its first pair, so it runs no stop test and logs nothing.
+    tested = []
+
+    def spy(a, b, m, tol):
+        tested.append((a, b))
+        return stop_test(a, b, m, tol)
+
+    monkeypatch.setattr(core, "stop_test", spy)
+    solve, args = _solver(MethodSpec(method))
+    for budget, expected in zip((1, 2), _LOGS_AT_BUDGETS_1_AND_2[method]):
+        log: list[tuple[float, float]] = []
+        tested.clear()
+        solve(CountingObjective(lambda x: (x - 0.3) ** 2), Interval(0.0, 1.0),
+              Tolerance(max_evaluations=budget), *args, bracket_log=log)
+        assert log == tested == expected
 
 
 @pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(0, 1)])
@@ -495,3 +529,85 @@ def test_outcome_is_an_immutable_tuple_with_the_dataclass_repr():
         "status=<SolveStatus.CONVERGED: 'converged'>)")
     assert out == (0.5, 1.0, 5, FunctionClass.STRICT_INTERIOR, SolveStatus.CONVERGED)
     assert out._replace(evaluations=6).evaluations == 6
+
+
+# ------------------------------------------------------------- the driver
+
+def toy_steps(steps, sent):
+    """A step generator with no stop rule of its own: it yields each step
+    ``(probe, a, b, m)`` of ``steps`` in turn, keeps what it is sent in
+    ``sent``, and returns the last point it got as an interior minimum
+    once it is sent ``None`` or runs out of steps."""
+    for step in steps:
+        reply = yield step
+        sent.append(reply)
+        if reply is None:
+            break
+        point = reply
+    return point.x, point.y, FunctionClass.STRICT_INTERIOR
+
+
+def _run(steps, budget=1000, bracket_log=None):
+    """Drive ``toy_steps(steps)`` on ``|x - 0.3|``: the outcome, the
+    abscissas evaluated and what the generator was sent."""
+    sent: list = []
+    obj = CountingObjective(lambda x: abs(x - 0.3))
+    out = _drive(obj, Tolerance(max_evaluations=budget), toy_steps(steps, sent),
+                 bracket_log=bracket_log)
+    return out, [p.x for p in obj.transcript], sent
+
+
+#: A bracket that passes the stop test around 0.5 at the default tolerance,
+#: and one that does not.
+_TIGHT, _WIDE = (0.5 - 1e-6, 0.5 + 1e-6), (0.0, 1.0)
+
+
+def test_driver_stops_at_the_first_state_that_passes_the_stop_test():
+    out, xs, sent = _run([(0.5, *_WIDE, None), (0.4, *_WIDE, 0.5),
+                          (0.45, *_TIGHT, 0.5), (0.6, *_WIDE, 0.5)])
+    # The stopping step's probe, 0.45, is not evaluated, and the step
+    # after it is never asked for.
+    assert xs == [0.5, 0.4]
+    assert sent[2:] == [None]
+    assert (out.x_min, out.evaluations, out.status) == (0.4, 2, SolveStatus.CONVERGED)
+
+
+@pytest.mark.parametrize("bracket, status", [
+    (_TIGHT, SolveStatus.CONVERGED), (_WIDE, SolveStatus.BUDGET_EXHAUSTED)])
+def test_driver_runs_the_stop_test_before_the_budget_test(bracket, status):
+    # The budget is spent on the setup probe when the next state arrives.
+    out, xs, sent = _run([(0.5, *_WIDE, None), (0.45, *bracket, 0.5)], budget=1)
+    assert xs == [0.5]
+    assert (out.evaluations, out.status) == (1, status)
+
+
+def test_driver_evaluates_stateless_steps_but_never_logs_or_tests_them(monkeypatch):
+    monkeypatch.setattr(core, "stop_test", lambda *args: pytest.fail("tested"))
+    log: list[tuple[float, float]] = []
+    out, xs, sent = _run([(0.5, *_TIGHT, None), ((0.4, 0.6), *_TIGHT, None),
+                          ((), *_TIGHT, None), (0.45, *_TIGHT, None)],
+                         bracket_log=log)
+    assert xs == [0.5, 0.4, 0.6, 0.45]
+    assert sent[2] == ()
+    assert log == []
+    assert out.status is SolveStatus.CONVERGED
+
+
+def test_driver_logs_the_bracket_of_every_stepped_state():
+    steps = [(0.5, *_WIDE, None), ((0.2, 0.4), 0.0, 1.0, 0.5),
+             (0.3, 0.2, 0.5, 0.4), (0.35, 0.2, 0.4, 0.3),
+             (0.31, 0.3 - 1e-6, 0.3 + 1e-6, 0.3), (0.0, *_WIDE, 0.5)]
+    log: list[tuple[float, float]] = []
+    out, xs, sent = _run(steps, bracket_log=log)
+    assert xs == [0.5, 0.2, 0.4, 0.3, 0.35]
+    assert log == [(a, b) for _, a, b, m in steps[:5] if m is not None]
+    assert (out.x_min, out.status) == (0.35, SolveStatus.CONVERGED)
+
+
+def test_only_the_driver_runs_the_stop_test():
+    for module in (section_search, active_search, brent):
+        assert "stop_test" not in vars(module), module.__name__
+    for steps in (section_search._bisection, section_search._golden,
+                  section_search._ratio_section, active_search._ratio_a,
+                  brent._brent):
+        assert "bracket_log" not in inspect.signature(steps).parameters, steps.__name__
